@@ -1,51 +1,30 @@
 // Command semstm-bench regenerates the tables and figures of "Extending TM
-// Primitives using Low Level Semantics" (SPAA 2016) on this machine.
+// Primitives using Low Level Semantics" (SPAA 2016) on this machine, and runs
+// the acceptance gates scripts/check.sh defends.
 //
 // Usage:
 //
 //	semstm-bench -list
 //	semstm-bench -exp fig1a [-threads 2,4,8] [-dur 500ms]
 //	semstm-bench -exp all   [-ops 4000]
-//	semstm-bench -json BENCH_PR3.json [-threads 1,2,4,8] [-dur 300ms]
+//	semstm-bench -gate servegate
 //
 // Each experiment prints the same series the corresponding paper panel
 // plots: throughput or execution time plus abort rates per algorithm per
-// thread count, or the Table 3 operation profile. With -json, the tool
-// instead measures the committed perf baseline — {hashtable, bank} ×
-// {NOrec, S-NOrec, TL2, S-TL2, RingSTM, S-RingSTM, Adaptive} × {1, 2, 4, 8}
-// threads, best of -reps measurements per cell to filter host noise — and
-// writes it as a machine-readable BENCH_*.json report (schema v5:
-// throughput, abort rate, commit and abort counts, per-cell GOMAXPROCS, the
-// commit-path counters, the typed abort-reason breakdown and irrevocable
-// escalation count, the per-cell allocation metrics allocs_per_tx /
-// bytes_per_tx / gc_pause_us from runtime.MemStats deltas, plus — on
-// adaptive cells — the online engine-switch count and the engine the cell
-// ended on) so perf and robustness PRs can diff against it. From schema v6
-// the report also carries the sharded-runtime grid, from v7 the durable
-// grid (bank over stm.OpenDurable, fsync policy × shard count, with the
-// wal_appends / wal_fsyncs / wal_group_size accounting per cell), and from
-// v8 the progressive-hybrid grid ({hashtable-rm, hashtable, bank} × {S-HTM,
-// HyTM-mid, HyTM}, with the per-path commit split hw_fast_commits /
-// hw_middle_commits, the hw_capacity_aborts bucket, and the engine-level
-// hw_fallbacks / hw_aborts tallies per cell), and from v9 the
-// snapshot-analytics grid (privatized vs instrumented scans per algorithm,
-// with the snapshot_mode tag and the retired / reclaimed epoch-lifecycle
-// counters) plus a reclaim-churn cell exercising the NewVar -> Retire
-// recycling path, and from v10 the server grid (the networked store's
-// counter-heavy load generator, batching on/off × connections × shards, with
-// the batcher-shape counters batches / batch_mean / merged_inc_pct /
-// solo_fallbacks on batching-on cells).
-// bench-compare accepts reports of any schema (the allocation gate applies
-// from v5 on).
+// thread count, or the Table 3 operation profile. Each gate
+// (internal/experiments/gates.go) measures its two arms at the shape and
+// duration fixed in the gate table and prints the measured figures, the bar
+// and ok/FAIL on one line, exiting 1 on FAIL. Parent-versus-change
+// performance comparison is not this tool's job: that is bench/ (bash
+// bench/run.sh, BENCHMARK.json).
 //
-// -cpuprofile and -memprofile write pprof profiles of whatever experiments
-// or baselines the invocation runs (see scripts/profile.sh), so a perf
-// investigation starts from a flame graph instead of guesses.
+// -cpuprofile and -memprofile write pprof profiles of whatever the invocation
+// runs (see scripts/profile.sh), also when it fails.
 //
-// Every cell runs under an explicit GOMAXPROCS (-gomaxprocs): by default the
-// scheduler width follows each cell's thread count; a pinned width clamps
-// larger thread counts with a warning instead of silently measuring
-// oversubscription.
+// Every experiment cell runs under an explicit GOMAXPROCS (-gomaxprocs): by
+// default the scheduler width follows each cell's thread count; a pinned
+// width clamps larger thread counts with a warning instead of silently
+// measuring oversubscription.
 package main
 
 import (
@@ -59,89 +38,58 @@ import (
 	"time"
 
 	"semstm/internal/experiments"
-	"semstm/stm"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main behind an exit code, so the deferred profile writers run on
+// every way out.
+func run() int {
 	var (
-		list        = flag.Bool("list", false, "list available experiments and exit")
-		expID       = flag.String("exp", "", "experiment id to run, or \"all\"")
-		threads     = flag.String("threads", "", "comma-separated thread counts (default per experiment)")
-		dur         = flag.Duration("dur", 0, "per-cell duration for throughput experiments")
-		ops         = flag.Int("ops", 0, "total operations for execution-time experiments")
-		procs       = flag.Int("gomaxprocs", 0, "per-cell GOMAXPROCS: 0 matches each cell's thread count, > 0 pins a width (thread counts above it are clamped), < 0 keeps the process setting")
-		reps        = flag.Int("reps", 0, "baseline reps per cell, best-of-N (0 takes the default of 3)")
-		jsonPath    = flag.String("json", "", "write the micro-benchmark baseline as JSON to this path (BENCH_*.json)")
-		shardGate   = flag.Bool("shardgate", false, "run the shard-scaling gate (sharded bank+hashtable, 1 vs -shardgate-shards shards) and exit non-zero below -shardgate-min")
-		gateShards  = flag.Int("shardgate-shards", 32, "shard count of the wide cell in the -shardgate comparison")
-		gateMin     = flag.Float64("shardgate-min", 8, "minimum throughput ratio (wide/1-shard) the -shardgate run must reach")
-		durGate     = flag.Bool("durgate", false, "run the durability-overhead gate (durable vs volatile sharded bank) and exit non-zero below -durgate-min")
-		durShards   = flag.Int("durgate-shards", 32, "shard count of the -durgate comparison")
-		durPolicy   = flag.String("durgate-policy", "interval", "fsync policy of the durable cell in the -durgate comparison")
-		durMin      = flag.Float64("durgate-min", 0.65, "minimum throughput ratio (durable/volatile) the -durgate run must reach")
-		hybGate     = flag.Bool("hybridgate", false, "run the instrumentation-cost gate (capacity-edge hashtable scan, HyTM fast path vs classic fully instrumented HTM) and exit non-zero below -hybridgate-min")
-		hybThreads  = flag.Int("hybridgate-threads", 1, "thread count of the -hybridgate comparison")
-		hybMin      = flag.Float64("hybridgate-min", 1.5, "minimum throughput ratio (fast-path/instrumented) the -hybridgate run must reach")
-		privGate    = flag.Bool("privgate", false, "run the privatization-payoff gate (snapshot scan, privatized vs instrumented) and exit non-zero below -privgate-min")
-		privThreads = flag.Int("privgate-threads", 4, "writer thread count behind each scan loop of the -privgate comparison")
-		privMin     = flag.Float64("privgate-min", 5, "minimum scan-rate ratio (privatized/instrumented) the -privgate run must reach")
-		srvGate     = flag.Bool("servegate", false, "run the commit-coalescing gate (durable counter-heavy loadgen, batched vs per-request) and exit non-zero below -servegate-min")
-		srvConns    = flag.Int("servegate-conns", 1024, "simulated connection count of the -servegate comparison")
-		srvShards   = flag.Int("servegate-shards", 8, "shard count of the -servegate comparison")
-		srvMin      = flag.Float64("servegate-min", 3, "minimum throughput ratio (batched/unbatched) the -servegate run must reach")
-		recGate     = flag.Bool("reclaimgate", false, "run the bounded-heap reclamation gate (retire-heavy churn, 3 sampling windows) and exit non-zero above -reclaimgate-growth")
-		recThreads  = flag.Int("reclaimgate-threads", 1, "churn thread count of the -reclaimgate run (1 keeps the measurement about the allocator: every descheduled pinned descriptor legitimately holds back reclamation, so wider churn on a narrow host measures scheduler quanta instead)")
-		recGrowth   = flag.Float64("reclaimgate-growth", 10, "maximum heap growth in percent from the first to the last -reclaimgate window")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile  = flag.String("memprofile", "", "write a pprof heap (allocation) profile at exit to this file")
+		list       = flag.Bool("list", false, "list available experiments and gates and exit")
+		expID      = flag.String("exp", "", "experiment id to run, or \"all\"")
+		gateName   = flag.String("gate", "", "acceptance gate to run (see -list); exits 1 on FAIL")
+		threads    = flag.String("threads", "", "comma-separated thread counts (default per experiment)")
+		dur        = flag.Duration("dur", 0, "per-cell duration for throughput experiments and gates")
+		ops        = flag.Int("ops", 0, "total operations for execution-time experiments")
+		procs      = flag.Int("gomaxprocs", 0, "per-cell GOMAXPROCS: 0 matches each cell's thread count, > 0 pins a width (thread counts above it are clamped), < 0 keeps the process setting")
+		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprofile = flag.String("memprofile", "", "write a pprof heap (allocation) profile at exit to this file")
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatalf("cpuprofile: %v", err)
+	var gate experiments.Gate
+	if *gateName != "" {
+		var err error
+		if gate, err = experiments.FindGate(*gateName); err != nil {
+			return gateUsage(err.Error())
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
+		if *expID != "" {
+			return gateUsage("-gate and -exp are mutually exclusive")
 		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		// Written on the way out (fatalf paths excepted) after a forcing GC,
-		// so the profile reflects live retention plus the cumulative
-		// allocation sites of the run.
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "semstm-bench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "semstm-bench: memprofile: %v\n", err)
-			}
-		}()
 	}
 
-	if *list || (*expID == "" && *jsonPath == "" && !*shardGate && !*durGate && !*hybGate && !*privGate && !*srvGate && !*recGate) {
+	if *list || (*expID == "" && *gateName == "") {
 		fmt.Println("Available experiments:")
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-8s %-14s %s\n", e.ID, e.Panels, e.Title)
 		}
-		if *expID == "" && !*list {
-			fmt.Println("\nrun with -exp <id> or -exp all")
+		fmt.Println("\nAcceptance gates (-gate NAME):")
+		for _, g := range experiments.Gates() {
+			fmt.Printf("  %-11s %s\n", g.Name, g.Bar)
 		}
-		return
+		if !*list {
+			fmt.Println("\nrun with -exp <id>, -exp all or -gate <name>")
+		}
+		return 0
 	}
 
-	cfg := experiments.Config{Duration: *dur, TotalOps: *ops, GOMAXPROCS: *procs, Reps: *reps}
+	cfg := experiments.Config{Duration: *dur, TotalOps: *ops, GOMAXPROCS: *procs}
 	if *threads != "" {
 		for _, part := range strings.Split(*threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || n <= 0 {
-				fatalf("bad -threads value %q", part)
+				return errorf("bad -threads value %q", part)
 			}
 			// Under a pinned scheduler width, more workers than Ps measures
 			// oversubscription, not the requested concurrency: clamp loudly
@@ -158,235 +106,85 @@ func main() {
 		}
 	}
 
-	if *shardGate {
-		// The shard-scaling gate (scripts/check.sh): the n-shard cell of each
-		// workload, single-shard transactions only, must out-commit the 1-shard
-		// cell by at least -shardgate-min. NOrec is the gate engine — one
-		// global seqlock serializes its every commit against every reader, so
-		// it shows the largest clock-sharing cost and the gate has no slack to
-		// hide behind.
-		failed := false
-		for _, wl := range []string{"bank", "hashtable"} {
-			start := time.Now()
-			res, err := experiments.ShardScaling(cfg, wl, stm.NOrec, *gateShards)
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return errorf("cpuprofile: %v", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return errorf("cpuprofile: %v", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		// Written on the way out after a forcing GC, so the profile reflects
+		// live retention plus the cumulative allocation sites of the run.
+		defer func() {
+			f, err := os.Create(*memprofile)
 			if err != nil {
-				fatalf("shardgate: %v", err)
+				errorf("memprofile: %v", err)
+				return
 			}
-			ok := res.Ratio >= *gateMin
-			verdict := "ok"
-			if !ok {
-				verdict = "FAIL"
-				failed = true
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				errorf("memprofile: %v", err)
 			}
-			fmt.Printf("shardgate %-9s %s: 1 shard %.1f ktx/s, %d shards %.1f ktx/s, ratio %.2fx (min %.1fx) %s [%v]\n",
-				wl, res.Algorithm, res.BaseK, res.Shards, res.ShardedK, res.Ratio, *gateMin, verdict,
-				time.Since(start).Round(time.Millisecond))
-		}
-		if failed {
-			os.Exit(1)
-		}
-		if *expID == "" && *jsonPath == "" && !*durGate && !*hybGate && !*privGate && !*srvGate && !*recGate {
-			return
-		}
+		}()
 	}
 
-	if *durGate {
-		// The durability-overhead gate (scripts/check.sh): the durable sharded
-		// bank under -durgate-policy must keep at least -durgate-min of the
-		// volatile cell's throughput at the same shape — the PR7 acceptance
-		// bar (interval fsync, 32 shards, within 35%).
+	if *gateName != "" {
 		start := time.Now()
-		res, err := experiments.DurableOverhead(cfg, *durShards, *durPolicy)
+		line, ok, err := gate.Measure(cfg)
 		if err != nil {
-			fatalf("durgate: %v", err)
+			return errorf("%s: %v", gate.Name, err)
 		}
-		ok := res.Ratio >= *durMin
 		verdict := "ok"
 		if !ok {
 			verdict = "FAIL"
 		}
-		fmt.Printf("durgate %-9s %s: volatile %.1f ktx/s, durable(%s) %.1f ktx/s at %d shards, ratio %.2f (min %.2f) %s [appends %d, fsyncs %d, group %.1f] [%v]\n",
-			res.Workload, res.Algorithm, res.VolatileK, res.Policy, res.DurableK, res.Shards,
-			res.Ratio, *durMin, verdict, res.WALAppends, res.WALFsyncs, res.GroupSize,
-			time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%s %s %s [%v]\n", gate.Name, line, verdict, time.Since(start).Round(time.Millisecond))
 		if !ok {
-			os.Exit(1)
+			return 1
 		}
-		if *expID == "" && *jsonPath == "" && !*hybGate && !*privGate && !*srvGate && !*recGate {
-			return
-		}
+		return 0
 	}
 
-	if *hybGate {
-		// The instrumentation-cost gate (scripts/check.sh): on the
-		// capacity-edge hashtable scan, HyTM with its uninstrumented fast path
-		// must out-commit classic fully instrumented HTM by at least
-		// -hybridgate-min — the PR8 acceptance bar. The scan cell makes the
-		// gap structural rather than a wall-clock delta: the tail of
-		// value-pinning instrumentation's per-barrier footprint overflows
-		// the simulated tracking budget, and overflowing transactions burn
-		// the retry ladder, back off, and finish irrevocably, while the fast
-		// path's first-touch footprint fits and commits in hardware. A run
-		// where the fast path never committed proves nothing about
-		// instrumentation cost, so it fails outright.
-		start := time.Now()
-		res, err := experiments.HybridGate(cfg, *hybThreads)
-		if err != nil {
-			fatalf("hybridgate: %v", err)
-		}
-		ok := res.Ratio >= *hybMin && res.FastCommits > 0
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Printf("hybridgate %-12s x%d: instrumented %.1f ktx/s, fast-path %.1f ktx/s, ratio %.2fx (min %.1fx), fast commits %d %s [%v]\n",
-			res.Workload, res.Threads, res.InstK, res.FastK, res.Ratio, *hybMin,
-			res.FastCommits, verdict, time.Since(start).Round(time.Millisecond))
-		if !ok {
-			os.Exit(1)
-		}
-		if *expID == "" && *jsonPath == "" && !*privGate && !*srvGate && !*recGate {
-			return
-		}
-	}
-
-	if *privGate {
-		// The privatization-payoff gate (scripts/check.sh): on the
-		// snapshot-analytics double buffer, a privatized scan — one tiny flip
-		// transaction plus uninstrumented loads — must complete full-buffer
-		// sums at least -privgate-min times faster than an instrumented
-		// read-only transaction over the same live writer load. This is the
-		// PR9 acceptance bar: the epoch/barrier machinery exists to make
-		// uninstrumented access safe, so it must be worth its price.
-		start := time.Now()
-		res, err := experiments.PrivatizationGate(cfg, *privThreads)
-		if err != nil {
-			fatalf("privgate: %v", err)
-		}
-		ok := res.Ratio >= *privMin
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Printf("privgate snapshot %s x%d writers: instrumented %.1f scans/s, privatized %.1f scans/s, ratio %.2fx (min %.1fx) %s [%v]\n",
-			res.Algorithm, res.Threads, res.InstScans, res.PrivScans, res.Ratio, *privMin,
-			verdict, time.Since(start).Round(time.Millisecond))
-		if !ok {
-			os.Exit(1)
-		}
-		if *expID == "" && *jsonPath == "" && !*srvGate && !*recGate {
-			return
-		}
-	}
-
-	if *srvGate {
-		// The commit-coalescing gate (scripts/check.sh): on a durable store
-		// that fsyncs every acknowledged request (the serving configuration
-		// batching exists for), the counter-heavy load generator through the
-		// per-shard batcher must out-commit per-request execution by at least
-		// -servegate-min. Volatile arms on a narrow host trade blocking
-		// handoffs for sub-microsecond solo commits and prove nothing; the
-		// fsync-per-request arm is where amortization is structural.
-		start := time.Now()
-		res, err := experiments.ServeGate(cfg, *srvConns, *srvShards)
-		if err != nil {
-			fatalf("servegate: %v", err)
-		}
-		ok := res.Ratio >= *srvMin
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Printf("servegate counter %s x%d conns, %d shards, fsync=%s: unbatched %.1f kreq/s, batched %.1f kreq/s, ratio %.2fx (min %.1fx) [window %.1f, merged %.1f%%, solo %d] %s [%v]\n",
-			res.Algorithm, res.Connections, res.Shards, res.Fsync,
-			res.UnbatchedK, res.BatchedK, res.Ratio, *srvMin,
-			res.BatchMean, res.MergedIncPct, res.SoloFallbacks,
-			verdict, time.Since(start).Round(time.Millisecond))
-		if !ok {
-			os.Exit(1)
-		}
-		if *expID == "" && *jsonPath == "" && !*recGate {
-			return
-		}
-	}
-
-	if *recGate {
-		// The bounded-heap reclamation gate (scripts/check.sh): three
-		// identical windows of retire-heavy churn (NewVar -> transaction ->
-		// Retire), each followed by an epoch pump and a forced GC. The last
-		// window's live heap must stay within -reclaimgate-growth percent of
-		// the first (plus a fixed allocator-noise slack), and the reclaimer
-		// must actually have recycled cells — a leaked limbo list fails on
-		// growth, a disconnected reclaimer fails on the counter.
-		start := time.Now()
-		res, err := experiments.ReclaimGate(cfg, *recThreads)
-		if err != nil {
-			fatalf("reclaimgate: %v", err)
-		}
-		const slack = 8 << 20
-		ok := res.Bounded(*recGrowth, slack)
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Printf("reclaimgate churn x%d: heap %.2f -> %.2f -> %.2f MB (growth %.1f%%, max %.0f%% + %dMB slack), retired %d, reclaimed %d %s [%v]\n",
-			*recThreads,
-			float64(res.Windows[0])/(1<<20), float64(res.Windows[1])/(1<<20), float64(res.Windows[2])/(1<<20),
-			res.GrowthPct(), *recGrowth, slack>>20, res.Retired, res.Reclaimed,
-			verdict, time.Since(start).Round(time.Millisecond))
-		if !ok {
-			os.Exit(1)
-		}
-		if *expID == "" && *jsonPath == "" {
-			return
-		}
-	}
-
-	if *jsonPath != "" {
-		fmt.Printf("=== baseline -> %s ===\n", *jsonPath)
-		start := time.Now()
-		rep, err := experiments.Baseline(cfg)
-		if err != nil {
-			fatalf("baseline: %v", err)
-		}
-		out, err := rep.MarshalIndent()
-		if err != nil {
-			fatalf("baseline: %v", err)
-		}
-		if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-			fatalf("baseline: %v", err)
-		}
-		fmt.Printf("[%d cells at %d ms each written in %v]\n",
-			len(rep.Cells), rep.DurationMS, time.Since(start).Round(time.Millisecond))
-		if *expID == "" {
-			return
-		}
-	}
-
-	var targets []experiments.Experiment
-	if *expID == "all" {
-		targets = experiments.All()
-	} else {
+	targets := experiments.All()
+	if *expID != "all" {
 		e, err := experiments.Find(*expID)
 		if err != nil {
-			fatalf("%v (use -list)", err)
+			return errorf("%v (use -list)", err)
 		}
 		targets = []experiments.Experiment{e}
 	}
-
 	for _, e := range targets {
 		fmt.Printf("=== %s (%s): %s ===\n", e.ID, e.Panels, e.Title)
 		start := time.Now()
 		out, err := e.Run(cfg)
 		if err != nil {
-			fatalf("%s: %v", e.ID, err)
+			return errorf("%s: %v", e.ID, err)
 		}
 		fmt.Print(out)
 		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }
 
-func fatalf(format string, args ...any) {
+// errorf reports a failed run and returns its exit code.
+func errorf(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "semstm-bench: "+format+"\n", args...)
-	os.Exit(1)
+	return 1
+}
+
+// gateUsage reports a bad -gate invocation with the valid names and returns
+// its exit code.
+func gateUsage(msg string) int {
+	var names []string
+	for _, g := range experiments.Gates() {
+		names = append(names, g.Name)
+	}
+	fmt.Fprintf(os.Stderr, "semstm-bench: %s (gates: %s)\n", msg, strings.Join(names, ", "))
+	return 2
 }

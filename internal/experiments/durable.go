@@ -1,11 +1,10 @@
 package experiments
 
-// The durable grid of the v7 baseline (DESIGN.md §12): the sharded bank
-// benchmark over stm.OpenDurable, sweeping the group-commit fsync policy
-// against the shard count at the same thread count, cross fraction, and
-// interleave policy as the volatile sharded grid. The grid answers the PR7
-// question — what does writing every commit ahead to the semantic redo log
-// cost, and how much of the fsync bill does group commit amortize away.
+// The durable cell behind durgate (DESIGN.md §12): the sharded bank
+// benchmark over stm.OpenDurable at the same thread count, cross fraction and
+// interleave policy as its volatile twin (runShardedCell). The pair answers
+// the PR7 question — what does writing every commit ahead to the semantic
+// redo log cost once group commit has amortized the fsync bill.
 
 import (
 	"fmt"
@@ -16,29 +15,20 @@ import (
 	"semstm/stm"
 )
 
-// Durable-grid constants. The swept axes deliberately reuse the sharded
-// grid's bank sizing so every durable cell has a volatile twin (same
-// workload, algorithm, threads, shards, cross fraction; fsync_policy empty)
-// to diff against in bench-compare.
-const (
-	// durableCross is the fixed cross-shard fraction of the durable grid: the
-	// high point of the volatile sweep, so the log-before-ticket path of the
-	// two-phase commit is always exercised.
-	durableCross = 0.10
-)
+// durableCross is the cross-shard fraction of both durgate arms: the high
+// point of the PR6 sweep, so the log-before-ticket path of the two-phase
+// commit is always exercised.
+const durableCross = 0.10
 
-// durableAlgo is the durable grid's engine: the semantic NOrec variant the
+// durableAlgo is the durable cell's engine: the semantic NOrec variant the
 // redo log's deferred-increment records are designed around.
 var durableAlgo = stm.SNOrec
 
-// durablePolicies is the swept fsync-policy axis, ordered from strongest to
-// weakest guarantee.
-var durablePolicies = []string{"always", "interval", "none"}
-
-// durableShardCounts is the swept shard axis (no 1-shard cell: OpenDurable
-// accepts it, but the grid's question is how the log writer scales with the
-// shard-partitioned commit pipeline).
-var durableShardCounts = []int{8, 32}
+// durableResult is one durable cell with the log accounting of the same rep.
+type durableResult struct {
+	harness.Result
+	WAL stm.WALStats
+}
 
 // durableBank opens a durable runtime in a fresh temp directory and wires
 // the sharded bank over durable account blocks. The caller must Close the
@@ -62,16 +52,14 @@ func durableBank(nshards int, policy string) (*stm.Durable, *apps.ShardedBank, s
 	return d, bank, dir, nil
 }
 
-// runDurableCell measures one durable bank cell best-of-reps, mirroring the
-// sharded grid's measurement discipline. Each rep runs against a fresh log
+// runDurableCell measures one durable bank cell best-of-reps, mirroring
+// runShardedCell's measurement discipline. Each rep runs against a fresh log
 // directory so no rep pays recovery or replays another rep's history.
-func runDurableCell(cfg Config, nshards int, policy string) (BaselineCell, error) {
-	var res harness.Result
-	var stats stm.WALStats
-	for i := 0; i < cfg.reps(); i++ {
+func runDurableCell(cfg Config, nshards int, policy string) (durableResult, error) {
+	return bestOf(cfg.Reps, durableResult.ThroughputKTx, func(int) (durableResult, error) {
 		d, bank, dir, err := durableBank(nshards, policy)
 		if err != nil {
-			return BaselineCell{}, err
+			return durableResult{}, err
 		}
 		rt := d.Runtime()
 		rt.SetYieldEvery(shardedYield)
@@ -79,117 +67,19 @@ func runDurableCell(cfg Config, nshards int, policy string) (BaselineCell, error
 		restore := harness.ApplyProcs(shardedGOMAXPROCS, shardedThreads)
 		r, err := harness.RunTimed(rt, bank, shardedThreads, cfg.duration())
 		restore()
-		st := d.WALStats()
+		res := durableResult{Result: r, WAL: d.WALStats()}
 		failed := d.WALFailed()
 		closeErr := d.Close()
 		os.RemoveAll(dir)
 		if err != nil {
-			return BaselineCell{}, err
+			return res, err
 		}
 		if closeErr != nil {
-			return BaselineCell{}, fmt.Errorf("experiments: durable cell close: %w", closeErr)
+			return res, fmt.Errorf("experiments: durable cell close: %w", closeErr)
 		}
 		if failed {
-			return BaselineCell{}, fmt.Errorf("experiments: durable cell degraded to volatile mode (log failure)")
+			return res, fmt.Errorf("experiments: durable cell degraded to volatile mode (log failure)")
 		}
-		if i == 0 || r.ThroughputKTx() > res.ThroughputKTx() {
-			res = r
-			stats = st
-		}
-	}
-	return BaselineCell{
-		Workload:     "bank",
-		Algorithm:    durableAlgo.String(),
-		Threads:      shardedThreads,
-		GOMAXPROCS:   res.GOMAXPROCS,
-		ThroughputK:  res.ThroughputKTx(),
-		AbortRatePct: res.AbortPct(),
-		Commits:      res.Stats.Commits,
-		Aborts:       res.Stats.Aborts,
-		ElapsedSec:   res.Elapsed.Seconds(),
-		Validations:  res.Stats.Validations,
-		ValEntries:   res.Stats.ValEntries,
-		ClockAdopts:  res.Stats.ClockAdopts,
-		SpinWaits:    res.Stats.SpinWaits,
-		Escalations:  res.Stats.Escalations,
-		AbortReasons: res.Stats.ReasonCounts(),
-		AllocsPerTx:  res.AllocsPerTx,
-		BytesPerTx:   res.BytesPerTx,
-		GCPauseUS:    float64(res.GCPause.Nanoseconds()) / 1e3,
-		Shards:       nshards,
-		CrossPct:     durableCross,
-		CrossCommits: res.Stats.CrossCommits,
-		CrossRevals:  res.Stats.CrossRevals,
-		YieldEvery:   shardedYield,
-		FsyncPolicy:  policy,
-		WALAppends:   stats.Appends,
-		WALFsyncs:    stats.Fsyncs,
-		WALGroupSize: stats.GroupSize,
-	}, nil
-}
-
-// durableCells measures the whole durable grid: bank × durablePolicies ×
-// durableShardCounts at shardedThreads workers, cross fraction durableCross.
-func durableCells(cfg Config) ([]BaselineCell, error) {
-	var cells []BaselineCell
-	for _, n := range durableShardCounts {
-		for _, policy := range durablePolicies {
-			cell, err := runDurableCell(cfg, n, policy)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, cell)
-		}
-	}
-	return cells, nil
-}
-
-// DurableOverheadResult is one durability-overhead gate measurement: the
-// volatile sharded bank cell against the durable cell of the same shape
-// (same engine, threads, shards, cross fraction), differing only in the
-// write-ahead log.
-type DurableOverheadResult struct {
-	Workload  string
-	Algorithm string
-	Shards    int
-	Policy    string
-	VolatileK float64 // volatile throughput, k tx/s
-	DurableK  float64 // durable throughput, k tx/s
-	Ratio     float64 // DurableK / VolatileK
-	// WALAppends / WALFsyncs / GroupSize are the durable cell's log
-	// accounting, reported so a failing gate shows whether fsync
-	// amortization collapsed.
-	WALAppends uint64
-	WALFsyncs  uint64
-	GroupSize  float64
-}
-
-// DurableOverhead measures the durability-overhead ratio the CI gate
-// defends (scripts/check.sh): durable bank throughput under the given fsync
-// policy over the volatile cell of the same shape. PR7's acceptance bar is
-// the "interval" policy at 32 shards staying within 35% (ratio >= 0.65).
-func DurableOverhead(cfg Config, nshards int, policy string) (DurableOverheadResult, error) {
-	vol, err := runShardedCell(cfg, "bank", durableAlgo, nshards, durableCross)
-	if err != nil {
-		return DurableOverheadResult{}, err
-	}
-	dur, err := runDurableCell(cfg, nshards, policy)
-	if err != nil {
-		return DurableOverheadResult{}, err
-	}
-	r := DurableOverheadResult{
-		Workload:   "bank",
-		Algorithm:  durableAlgo.String(),
-		Shards:     nshards,
-		Policy:     policy,
-		VolatileK:  vol.ThroughputK,
-		DurableK:   dur.ThroughputK,
-		WALAppends: dur.WALAppends,
-		WALFsyncs:  dur.WALFsyncs,
-		GroupSize:  dur.WALGroupSize,
-	}
-	if r.VolatileK > 0 {
-		r.Ratio = r.DurableK / r.VolatileK
-	}
-	return r, nil
+		return res, nil
+	})
 }

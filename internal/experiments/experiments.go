@@ -1,7 +1,8 @@
 // Package experiments defines one runnable reproduction per table and figure
 // of the paper's evaluation (Section 7). Both cmd/semstm-bench and the
 // repository's testing.B benchmarks drive experiments through this registry,
-// so the CLI output and the bench output come from the same code.
+// so the CLI output and the bench output come from the same code. The
+// acceptance gates scripts/check.sh runs live beside it (Gates, gates.go).
 package experiments
 
 import (
@@ -35,8 +36,8 @@ type Config struct {
 	// 0 matches each cell's thread count, > 0 pins a width, < 0 keeps the
 	// process setting.
 	GOMAXPROCS int
-	// Reps is how many times the baseline measures each cell, keeping the
-	// best-throughput rep (0 takes the default of 3).
+	// Reps is how many times a gate measures each arm, keeping the best rep
+	// (Gate.Measure fills it from the gate table); experiments ignore it.
 	Reps int
 }
 
@@ -52,13 +53,6 @@ func (c Config) duration() time.Duration {
 		return c.Duration
 	}
 	return 300 * time.Millisecond
-}
-
-func (c Config) reps() int {
-	if c.Reps > 0 {
-		return c.Reps
-	}
-	return 3
 }
 
 func (c Config) totalOps(def int) int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +29,37 @@ func TestRegistryComplete(t *testing.T) {
 	// 8 RSTM panels + 2 GCC panels + table3 + ext-ring + ext-htm.
 	if len(ids) != 13 {
 		t.Fatalf("registry holds %d experiments, want 13", len(ids))
+	}
+}
+
+// TestGatesRun measures every gate once at a tiny duration: each must run
+// without error and report a line carrying measured figures. Whether the bar
+// is met is not asserted — that is scripts/check.sh's job at the table's own
+// durations.
+func TestGatesRun(t *testing.T) {
+	figure := regexp.MustCompile(`\d+\.\d+`)
+	names := map[string]bool{}
+	for _, g := range Gates() {
+		if g.Name == "" || g.Bar == "" || g.Dur <= 0 || g.Reps <= 0 || g.Run == nil {
+			t.Fatalf("incomplete gate %+v", g)
+		}
+		if names[g.Name] {
+			t.Fatalf("duplicate gate %s", g.Name)
+		}
+		names[g.Name] = true
+		if found, err := FindGate(g.Name); err != nil || found.Name != g.Name {
+			t.Fatalf("FindGate(%s) = %+v, %v", g.Name, found, err)
+		}
+		line, _, err := g.Measure(Config{Duration: 5 * time.Millisecond, Reps: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if len(figure.FindAllString(line, -1)) < 3 { // both arms and the ratio, or three heap windows
+			t.Fatalf("%s: report line lacks its measured figures: %q", g.Name, line)
+		}
+	}
+	if _, err := FindGate("nope"); err == nil {
+		t.Fatal("FindGate(nope) must fail")
 	}
 }
 

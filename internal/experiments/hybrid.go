@@ -1,199 +1,48 @@
 package experiments
 
-// The progressive-hybrid grid of the v8 baseline (DESIGN.md §13): the four
-// HTM-backed engines, most to least instrumented — classic HTM (full
-// value-pinning read instrumentation), S-HTM (semantic facts), the HyTM-mid
-// ablation that forces every hardware transaction through the instrumented
-// middle path, and HyTM with its uninstrumented fast path — over a
-// read-mostly hashtable (where the fast path sheds the most bookkeeping), a
-// capacity-edge scan variant (where instrumentation inflates the tracked
-// footprint past the hardware budget), the default write-heavy hashtable,
-// and the bank transfer kernel. The grid is the instrumentation-cost
-// ablation: same simulated hardware, same retry budgets, same workloads; the
-// only swept axis is how much per-location bookkeeping a hardware
-// transaction performs.
+// The capacity-edge scan cell behind hybridgate (DESIGN.md §13): classic
+// HTM (every barrier a value-pinning read) against HyTM with its
+// uninstrumented fast path, same simulated hardware, same retry budget, same
+// workload; the only difference is how much per-location bookkeeping a
+// hardware transaction performs. The gate runs at the capacity edge because
+// that is where the mechanism is structural rather than a wall-clock delta:
+// the tail of the fully instrumented engine's per-barrier footprint
+// overflows the hardware budget, and every overflowing transaction burns its
+// whole retry budget, backs off, and finishes irrevocably, while the fast
+// path's first-touch footprint fits and commits in hardware.
 
 import (
-	"fmt"
-
 	"semstm/internal/apps"
 	"semstm/internal/harness"
 	"semstm/stm"
 )
 
-// Hybrid-grid constants. The hardware tuple is generous on capacity (the
-// hashtable's probe chains make long transactions, and the ablation measures
-// instrumentation cost, not capacity pressure) with the default retry budget
-// and a mild spurious-abort rate so the fallback machinery stays exercised.
+// Scan-cell constants: the default retry budget and a mild spurious-abort
+// rate so the fallback machinery stays exercised.
 const (
-	hybridCapacity = 512
 	hybridRetries  = 4
 	hybridSpurious = 0.5
-	// hybridScanCapacity is the hardware budget of the capacity-edge scan
-	// cells: inside the tail of a fully instrumented scan transaction's
-	// ~230-240-entry tracked set, comfortably above the distinct
-	// first-touch footprint of an uninstrumented one (see
-	// apps.NewScanHashtable).
+	// hybridScanCapacity is the hardware budget of the scan cell: inside the
+	// tail of a fully instrumented scan transaction's ~230-240-entry tracked
+	// set, comfortably above the distinct first-touch footprint of an
+	// uninstrumented one (see apps.NewScanHashtable).
 	hybridScanCapacity = 256
-	// hybridTableCap sizes the hashtable variants (the classic-grid size).
+	// hybridTableCap sizes the hashtable (the Figure 1 size).
 	hybridTableCap = 2048
+	// hybridThreads keeps the comparison solo: it is about barrier cost, not
+	// contention.
+	hybridThreads = 1
 )
 
-// hybridAlgos is the swept instrumentation axis, most to least instrumented:
-// HTM (classic, every barrier a value-pinning read), S-HTM (single semantic
-// path), HyTM-mid (progressive engine, fast path disabled), HyTM
-// (progressive engine, fast path on).
-var hybridAlgos = []stm.Algorithm{stm.HTM, stm.SHTM, stm.HyTMMid, stm.HyTM}
-
-// hybridThreads is the committed thread sweep: solo barrier cost plus the two
-// contended points of the classic grid.
-var hybridThreads = []int{1, 4, 8}
-
-// hybridWorkload builds one of the three hybrid drivers by name.
-func hybridWorkload(name string) (harness.Builder, error) {
-	switch name {
-	case "hashtable-rm":
-		return func(rt *stm.Runtime) harness.Workload {
-			return apps.NewReadMostlyHashtable(rt, hybridTableCap)
-		}, nil
-	case "hashtable-scan":
-		return func(rt *stm.Runtime) harness.Workload {
-			return apps.NewScanHashtable(rt, hybridTableCap)
-		}, nil
-	case "hashtable":
-		return func(rt *stm.Runtime) harness.Workload {
-			return apps.NewHashtable(rt, hybridTableCap)
-		}, nil
-	case "bank":
-		return func(rt *stm.Runtime) harness.Workload {
-			return apps.NewBank(rt, 1024, 1000)
-		}, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown hybrid workload %q", name)
-}
-
-// runHybridCell measures one hybrid cell best-of-reps under the classic
-// grid's policy (width = thread count, no interleave simulation), recording
-// the per-path commit counters and the engine-level fallback and
-// hardware-abort tallies the v8 schema added.
-func runHybridCell(cfg Config, workload string, algo stm.Algorithm, th int) (BaselineCell, error) {
-	build, err := hybridWorkload(workload)
-	if err != nil {
-		return BaselineCell{}, err
-	}
-	capacity := hybridCapacity
-	if workload == "hashtable-scan" {
-		capacity = hybridScanCapacity
-	}
-	var res harness.Result
-	var fallbacks, hwAborts uint64
-	for i := 0; i < cfg.reps(); i++ {
+// runScanCell measures the capacity-edge scan on one HTM-backed engine
+// best-of-reps (width = thread count, no interleave simulation).
+func runScanCell(cfg Config, algo stm.Algorithm) (harness.Result, error) {
+	return bestOf(cfg.Reps, harness.Result.ThroughputKTx, func(int) (harness.Result, error) {
 		rt := stm.New(algo)
-		rt.ConfigureHTM(capacity, hybridRetries, hybridSpurious)
-		w := build(rt)
-		restore := harness.ApplyProcs(cfg.GOMAXPROCS, th)
-		r, err := harness.RunTimed(rt, w, th, cfg.duration())
-		restore()
-		if err != nil {
-			return BaselineCell{}, err
-		}
-		if i == 0 || r.ThroughputKTx() > res.ThroughputKTx() {
-			res = r
-			// The engine tallies live on the runtime, not the snapshot:
-			// capture them with the rep they belong to.
-			fallbacks, hwAborts = rt.HTMStats()
-		}
-	}
-	reasons := res.Stats.ReasonCounts()
-	return BaselineCell{
-		Workload:         workload,
-		Algorithm:        algo.String(),
-		Threads:          th,
-		GOMAXPROCS:       res.GOMAXPROCS,
-		ThroughputK:      res.ThroughputKTx(),
-		AbortRatePct:     res.AbortPct(),
-		Commits:          res.Stats.Commits,
-		Aborts:           res.Stats.Aborts,
-		ElapsedSec:       res.Elapsed.Seconds(),
-		Validations:      res.Stats.Validations,
-		ValEntries:       res.Stats.ValEntries,
-		ClockAdopts:      res.Stats.ClockAdopts,
-		SpinWaits:        res.Stats.SpinWaits,
-		Escalations:      res.Stats.Escalations,
-		AbortReasons:     reasons,
-		AllocsPerTx:      res.AllocsPerTx,
-		BytesPerTx:       res.BytesPerTx,
-		GCPauseUS:        float64(res.GCPause.Nanoseconds()) / 1e3,
-		HWFastCommits:    res.Stats.HWFastCommits,
-		HWMiddleCommits:  res.Stats.HWMiddleCommits,
-		HWCapacityAborts: reasons["hw-capacity"],
-		HWFallbacks:      fallbacks,
-		HWAborts:         hwAborts,
-	}, nil
-}
-
-// hybridCells measures the whole hybrid grid: {hashtable-rm, hashtable-scan,
-// hashtable, bank} × {HTM, S-HTM, HyTM-mid, HyTM} × hybridThreads.
-func hybridCells(cfg Config) ([]BaselineCell, error) {
-	var cells []BaselineCell
-	for _, wl := range []string{"hashtable-rm", "hashtable-scan", "hashtable", "bank"} {
-		for _, algo := range hybridAlgos {
-			for _, th := range cfg.threads(hybridThreads) {
-				cell, err := runHybridCell(cfg, wl, algo, th)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell)
-			}
-		}
-	}
-	return cells, nil
-}
-
-// HybridGateResult is one instrumentation-cost gate measurement: the
-// fast-path-enabled HyTM cell against the fully instrumented classic-HTM
-// cell of the read-mostly scan grid, same threads, same hardware tuple. The
-// ratio is what the -hybridgate CI gate defends — the whole point of the
-// progressive design is that shedding instrumentation buys measurable
-// throughput. The gate runs at the capacity edge because that is where the
-// mechanism is structural rather than a wall-clock delta: the tail of the
-// fully instrumented engine's per-barrier footprint overflows the hardware
-// budget, and every overflowing transaction burns its whole retry budget,
-// backs off, and finishes irrevocably, while the uninstrumented fast path's
-// first-touch footprint fits and commits in hardware.
-type HybridGateResult struct {
-	Workload string
-	Threads  int
-	FastK    float64 // HyTM (uninstrumented fast path on), k tx/s
-	InstK    float64 // classic HTM (every barrier value-pinning), k tx/s
-	Ratio    float64
-	// FastCommits is the HyTM cell's uninstrumented-path commit count: a gate
-	// run where this is zero proves nothing about instrumentation cost, so
-	// the CLI fails it regardless of the ratio.
-	FastCommits uint64
-}
-
-// HybridGate measures the instrumentation-cost ratio the CI gate defends
-// (scripts/check.sh): capacity-edge scan throughput on HyTM over classic
-// fully instrumented HTM at the given thread count.
-func HybridGate(cfg Config, threads int) (HybridGateResult, error) {
-	fast, err := runHybridCell(cfg, "hashtable-scan", stm.HyTM, threads)
-	if err != nil {
-		return HybridGateResult{}, err
-	}
-	inst, err := runHybridCell(cfg, "hashtable-scan", stm.HTM, threads)
-	if err != nil {
-		return HybridGateResult{}, err
-	}
-	r := HybridGateResult{
-		Workload:    "hashtable-scan",
-		Threads:     threads,
-		FastK:       fast.ThroughputK,
-		InstK:       inst.ThroughputK,
-		FastCommits: fast.HWFastCommits,
-	}
-	if r.InstK > 0 {
-		r.Ratio = r.FastK / r.InstK
-	}
-	return r, nil
+		rt.ConfigureHTM(hybridScanCapacity, hybridRetries, hybridSpurious)
+		w := apps.NewScanHashtable(rt, hybridTableCap)
+		restore := harness.ApplyProcs(cfg.GOMAXPROCS, hybridThreads)
+		defer restore()
+		return harness.RunTimed(rt, w, hybridThreads, cfg.duration())
+	})
 }

@@ -1,17 +1,14 @@
 package experiments
 
-// The reclamation and privatization cells of the v9 baseline (DESIGN.md §14):
-// the snapshot-analytics grid — the same double-buffer workload scanned
-// through an ordinary instrumented read-only transaction vs through a
-// privatizing flip and uninstrumented loads — plus a retire-heavy churn cell
-// that exercises the epoch reclaimer's full allocate/retire/recycle loop and
-// records its lifetime counters. Two CI gates ride on the same machinery:
-// -privgate defends the point of privatization (uninstrumented snapshot
-// scans must beat instrumented ones by >= 5x) and -reclaimgate defends the
-// point of reclamation (steady-state heap under churn stays bounded).
+// The measurements behind privgate and reclaimgate (DESIGN.md §14): the
+// snapshot-analytics double buffer scanned through an ordinary instrumented
+// read-only transaction vs through a privatizing flip and uninstrumented
+// loads, and a retire-heavy churn that exercises the epoch reclaimer's full
+// allocate/retire/recycle loop. privgate defends the point of privatization
+// (uninstrumented snapshot scans must beat instrumented ones), reclaimgate
+// the point of reclamation (steady-state heap under churn stays bounded).
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -23,69 +20,74 @@ import (
 	"semstm/stm"
 )
 
-// snapshotAlgos is the snapshot grid's engine axis: the two semantic
-// single-instance engines whose privatization fences differ most — S-NOrec
-// (seqlock drain) and S-TL2 (orec-version fence).
-var snapshotAlgos = []stm.Algorithm{stm.SNOrec, stm.STL2}
+// snapshotWriters is the writer thread count behind each privgate scan
+// loop: enough concurrency that instrumented scans pay real invalidation
+// traffic.
+const snapshotWriters = 4
 
-// snapshotThreads is the committed snapshot-grid thread count: enough writer
-// concurrency that instrumented scans pay real invalidation traffic.
-const snapshotThreads = 4
+// snapshotAlgo is privgate's engine: S-NOrec's value-based validation makes
+// the instrumented scan pay the full revalidation bill on every writer
+// commit, so it is the honest baseline for what privatization buys.
+var snapshotAlgo = stm.SNOrec
 
-// runSnapshotCell measures one snapshot-analytics cell best-of-reps under
-// the classic grid's policy, tagging the scan mode and the epoch-reclaimer
-// counter deltas accumulated across the cell's reps.
-func runSnapshotCell(cfg Config, algo stm.Algorithm, privatized bool) (BaselineCell, error) {
-	mode := "instrumented"
-	if privatized {
-		mode = "privatized"
-	}
-	before := core.ReadEpochStats()
-	var res harness.Result
-	for i := 0; i < cfg.reps(); i++ {
-		rt := stm.New(algo)
+// runScanRate runs snapshotWriters writer goroutines against one scan loop
+// for cfg.duration() and returns completed full-buffer sums per second, best
+// of cfg.Reps. It runs under the figure-experiment convention — GOMAXPROCS
+// pinned to 1 with the interleave simulation providing concurrency
+// (SetYieldEvery, DESIGN.md §8) — so writer commits actually land mid-scan:
+// that is what makes the instrumented scan pay invalidation and keeps the
+// privatization drain a cooperative handoff instead of a scheduler-quantum
+// wait. Only transactional barriers yield, so the privatized mode's
+// uninstrumented sum loop runs at full speed — exactly the asymmetry the
+// gate defends.
+func runScanRate(cfg Config, privatized bool) (float64, error) {
+	return bestOf(cfg.Reps, func(rate float64) float64 { return rate }, func(int) (float64, error) {
+		restore := harness.ApplyProcs(1, snapshotWriters)
+		defer restore()
+		rt := stm.New(snapshotAlgo)
+		rt.SetYieldEvery(4)
 		s := apps.NewSnapshotAnalytics(rt)
-		s.Privatized = privatized
-		restore := harness.ApplyProcs(cfg.GOMAXPROCS, snapshotThreads)
-		r, err := harness.RunTimed(rt, s, snapshotThreads, cfg.duration())
-		restore()
-		if err != nil {
-			return BaselineCell{}, err
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < snapshotWriters; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s.Inc(rng)
+				}
+			}(int64(w) + 1)
 		}
-		if i == 0 || r.ThroughputKTx() > res.ThroughputKTx() {
-			res = r
+		scans := 0
+		start := time.Now()
+		for time.Since(start) < cfg.duration() {
+			if privatized {
+				s.ScanPrivatized()
+			} else {
+				s.ScanInstrumented()
+			}
+			scans++
 		}
-	}
-	after := core.ReadEpochStats()
-	return BaselineCell{
-		Workload:     "snapshot",
-		Algorithm:    algo.String(),
-		Threads:      snapshotThreads,
-		GOMAXPROCS:   res.GOMAXPROCS,
-		ThroughputK:  res.ThroughputKTx(),
-		AbortRatePct: res.AbortPct(),
-		Commits:      res.Stats.Commits,
-		Aborts:       res.Stats.Aborts,
-		ElapsedSec:   res.Elapsed.Seconds(),
-		Validations:  res.Stats.Validations,
-		ValEntries:   res.Stats.ValEntries,
-		ClockAdopts:  res.Stats.ClockAdopts,
-		SpinWaits:    res.Stats.SpinWaits,
-		Escalations:  res.Stats.Escalations,
-		AbortReasons: res.Stats.ReasonCounts(),
-		AllocsPerTx:  res.AllocsPerTx,
-		BytesPerTx:   res.BytesPerTx,
-		GCPauseUS:    float64(res.GCPause.Nanoseconds()) / 1e3,
-		SnapshotMode: mode,
-		Retired:      after.Retired - before.Retired,
-		Reclaimed:    after.Reclaimed - before.Reclaimed,
-	}, nil
+		elapsed := time.Since(start)
+		close(stop)
+		wg.Wait()
+		if err := s.Check(); err != nil {
+			return 0, err
+		}
+		return float64(scans) / elapsed.Seconds(), nil
+	})
 }
 
-// churnWorkload is the retire-heavy driver of the reclaim cell and gate:
-// every operation allocates a Var, uses it transactionally, and retires it —
-// the full lifecycle of the epoch reclaimer, with the recycle path (NewVar
-// popping the free list) carrying the steady state.
+// churnWorkload is the retire-heavy driver of reclaimgate: every operation
+// allocates a Var, uses it transactionally, and retires it — the full
+// lifecycle of the epoch reclaimer, with the recycle path (NewVar popping
+// the free list) carrying the steady state.
 type churnWorkload struct {
 	rt *stm.Runtime
 }
@@ -98,211 +100,42 @@ func (w *churnWorkload) Op(rng *rand.Rand) {
 
 func (w *churnWorkload) Check() error { return nil }
 
-// reclaimCells measures the churn cell: lifecycle throughput plus the
-// retired/reclaimed counter deltas that show the free list carrying the load.
-func reclaimCells(cfg Config) ([]BaselineCell, error) {
-	before := core.ReadEpochStats()
-	var res harness.Result
-	for i := 0; i < cfg.reps(); i++ {
-		rt := stm.New(stm.SNOrec)
-		restore := harness.ApplyProcs(cfg.GOMAXPROCS, snapshotThreads)
-		r, err := harness.RunTimed(rt, &churnWorkload{rt: rt}, snapshotThreads, cfg.duration())
-		restore()
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 || r.ThroughputKTx() > res.ThroughputKTx() {
-			res = r
-		}
-	}
-	after := core.ReadEpochStats()
-	return []BaselineCell{{
-		Workload:     "reclaim-churn",
-		Algorithm:    stm.SNOrec.String(),
-		Threads:      snapshotThreads,
-		GOMAXPROCS:   res.GOMAXPROCS,
-		ThroughputK:  res.ThroughputKTx(),
-		AbortRatePct: res.AbortPct(),
-		Commits:      res.Stats.Commits,
-		Aborts:       res.Stats.Aborts,
-		ElapsedSec:   res.Elapsed.Seconds(),
-		AllocsPerTx:  res.AllocsPerTx,
-		BytesPerTx:   res.BytesPerTx,
-		GCPauseUS:    float64(res.GCPause.Nanoseconds()) / 1e3,
-		Retired:      after.Retired - before.Retired,
-		Reclaimed:    after.Reclaimed - before.Reclaimed,
-	}}, nil
-}
-
-// snapshotCells measures the snapshot-analytics grid:
-// {S-NOrec, S-TL2} × {instrumented, privatized} at snapshotThreads, plus the
-// reclaim churn cell.
-func snapshotCells(cfg Config) ([]BaselineCell, error) {
-	var cells []BaselineCell
-	for _, algo := range snapshotAlgos {
-		for _, privatized := range []bool{false, true} {
-			cell, err := runSnapshotCell(cfg, algo, privatized)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, cell)
-		}
-	}
-	churn, err := reclaimCells(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return append(cells, churn...), nil
-}
-
-// PrivGateResult is the privatization-payoff gate measurement: snapshot scan
-// rates (full-buffer sums per second) in both modes over the same live
-// writer load. The ratio is the PR9 acceptance number — privatized snapshot
-// reads must run at least 5x faster than instrumented transactional reads,
-// or the entire epoch/barrier machinery is overhead without payoff.
-type PrivGateResult struct {
-	Algorithm string
-	Threads   int // writer threads behind each scan loop
-	PrivScans float64
-	InstScans float64
-	Ratio     float64
-}
-
-// measureScanRate runs `threads` writer goroutines against one scan loop for
-// dur and returns completed scans per second. The gate runs under the
-// figure-experiment convention — GOMAXPROCS pinned to 1 with the interleave
-// simulation providing concurrency (SetYieldEvery, DESIGN.md §8) — so writer
-// commits actually land mid-scan: that is what makes the instrumented scan
-// pay invalidation and keeps the privatization drain a cooperative handoff
-// instead of a scheduler-quantum wait. Only transactional barriers yield, so
-// the privatized mode's uninstrumented sum loop runs at full speed — exactly
-// the asymmetry the gate defends.
-func measureScanRate(algo stm.Algorithm, threads int, dur time.Duration, privatized bool) (float64, error) {
-	restore := harness.ApplyProcs(1, threads)
-	defer restore()
-	rt := stm.New(algo)
-	rt.SetYieldEvery(4)
-	s := apps.NewSnapshotAnalytics(rt)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.Inc(rng)
-			}
-		}(int64(w) + 1)
-	}
-	scans := 0
-	start := time.Now()
-	for time.Since(start) < dur {
-		if privatized {
-			s.ScanPrivatized()
-		} else {
-			s.ScanInstrumented()
-		}
-		scans++
-	}
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
-	if err := s.Check(); err != nil {
-		return 0, err
-	}
-	return float64(scans) / elapsed.Seconds(), nil
-}
-
-// PrivatizationGate measures the scan-rate ratio the -privgate CI gate
-// defends, best of cfg.reps() per mode. S-NOrec is the gate engine: its
-// value-based validation makes the instrumented scan pay the full
-// revalidation bill on every writer commit, so it is the honest baseline for
-// what privatization buys.
-func PrivatizationGate(cfg Config, threads int) (PrivGateResult, error) {
-	res := PrivGateResult{Algorithm: stm.SNOrec.String(), Threads: threads}
-	for i := 0; i < cfg.reps(); i++ {
-		p, err := measureScanRate(stm.SNOrec, threads, cfg.duration(), true)
-		if err != nil {
-			return res, fmt.Errorf("privatized rep: %w", err)
-		}
-		n, err := measureScanRate(stm.SNOrec, threads, cfg.duration(), false)
-		if err != nil {
-			return res, fmt.Errorf("instrumented rep: %w", err)
-		}
-		if p > res.PrivScans {
-			res.PrivScans = p
-		}
-		if n > res.InstScans {
-			res.InstScans = n
-		}
-	}
-	if res.InstScans > 0 {
-		res.Ratio = res.PrivScans / res.InstScans
-	}
-	return res, nil
-}
-
-// ReclaimGateResult is the bounded-heap gate measurement: live heap bytes
-// after each of three identical retire-heavy churn windows (each window ends
-// with an epoch pump and a forced GC), plus the reclaimer's counter deltas
-// over the whole run. If reclamation works, the later windows sit on the
-// steady-state pool the first window built; if retired cells leak, the heap
-// climbs window over window.
-type ReclaimGateResult struct {
-	Windows   [3]uint64 // HeapAlloc after each window, bytes
+// churnResult is reclaimgate's measurement: live heap bytes after each
+// sampled window plus the reclaimer's counter deltas over the whole run.
+type churnResult struct {
+	Heap      [3]uint64
 	Retired   uint64
 	Reclaimed uint64
 }
 
-// GrowthPct is the relative heap growth from the first to the last window.
-func (r ReclaimGateResult) GrowthPct() float64 {
-	if r.Windows[0] == 0 {
-		return 0
-	}
-	return (float64(r.Windows[2]) - float64(r.Windows[0])) / float64(r.Windows[0]) * 100
-}
-
-// Bounded reports whether the run passes: some reclamation happened, and the
-// last window's heap stayed within maxGrowthPct of the first (plus an
-// absolute slack for allocator and GC noise).
-func (r ReclaimGateResult) Bounded(maxGrowthPct float64, slackBytes uint64) bool {
-	limit := r.Windows[0] + uint64(float64(r.Windows[0])*maxGrowthPct/100) + slackBytes
-	return r.Reclaimed > 0 && r.Windows[2] <= limit
-}
-
-// ReclaimGate runs the steady-state-heap gate: three cfg.duration() windows
-// of `threads`-way allocate/use/retire churn, sampling runtime.MemStats
-// after each. The churn deliberately routes every allocation through the
-// public stm lifecycle (NewVar -> Atomically -> Retire) so the measurement
-// covers the pin windows of real transactions, not just the reclaimer's
-// bookkeeping.
+// runChurnWindows runs a warm-up plus three cfg.duration() windows
+// of allocate/use/retire churn, sampling live heap bytes after each window
+// (each ends with an epoch pump and a forced GC). If reclamation
+// works, the later windows sit on the steady-state pool the first window
+// built; if retired cells leak, the heap climbs window over window. The
+// churn routes every allocation through the public stm lifecycle (NewVar ->
+// Atomically -> Retire) so the measurement covers the pin windows of real
+// transactions, not just the reclaimer's bookkeeping.
 //
-// The gate defaults to threads == 1 (see cmd/semstm-bench): a pinned
-// descriptor that the scheduler parks mid-transaction legitimately holds
-// back every epoch advance for its whole off-CPU quantum, so on a host with
-// fewer cores than churners the free-list high-water mark tracks the
-// scheduler's preemption tail rather than the allocator — real retention,
-// but not the leak this gate is for. Concurrent lifecycle correctness is the
-// chaos suites' job.
-func ReclaimGate(cfg Config, threads int) (ReclaimGateResult, error) {
+// The churn is single-threaded on purpose: a pinned descriptor that the
+// scheduler parks mid-transaction legitimately holds back every epoch
+// advance for its whole off-CPU quantum, so on a host with fewer cores than
+// churners the free-list high-water mark tracks the scheduler's preemption
+// tail rather than the allocator — real retention, but not the leak this
+// gate is for. Concurrent lifecycle correctness is the chaos suites' job.
+func runChurnWindows(cfg Config) (churnResult, error) {
+	var res churnResult
 	rt := stm.New(stm.SNOrec)
 	before := core.ReadEpochStats()
-	var res ReclaimGateResult
 	// Warm-up window, unsampled: the reclaimer's free list is a pool that
 	// grows to its high-water mark (in-flight limbo plus recycling slack)
 	// during the first churn interval and then plateaus. The gate defends
 	// the plateau — a leak grows every window; the pool grows once.
-	if _, err := harness.RunTimed(rt, &churnWorkload{rt: rt}, threads, cfg.duration()); err != nil {
+	if _, err := harness.RunTimed(rt, &churnWorkload{rt: rt}, 1, cfg.duration()); err != nil {
 		return res, err
 	}
-	for w := 0; w < 3; w++ {
-		if _, err := harness.RunTimed(rt, &churnWorkload{rt: rt}, threads, cfg.duration()); err != nil {
+	for w := range res.Heap {
+		if _, err := harness.RunTimed(rt, &churnWorkload{rt: rt}, 1, cfg.duration()); err != nil {
 			return res, err
 		}
 		// Quiesce: pump the epoch so the limbo buckets empty into the free
@@ -313,7 +146,7 @@ func ReclaimGate(cfg Config, threads int) (ReclaimGateResult, error) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		res.Windows[w] = ms.HeapAlloc
+		res.Heap[w] = ms.HeapAlloc
 	}
 	after := core.ReadEpochStats()
 	res.Retired = after.Retired - before.Retired

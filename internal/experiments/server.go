@@ -1,212 +1,70 @@
 package experiments
 
-// The server grid of the v10 baseline and the -servegate CI gate
-// (DESIGN.md §15): the networked store's Submit path driven by the
-// in-process load generator, sweeping the coalescing batcher's toggle
-// against connection and shard counts. The grid answers the PR10 question —
-// what does routing requests through the per-shard batcher cost or buy at
-// each load shape — and the gate defends the configuration batching exists
-// for: a durable store that must fsync every acknowledged request, where a
-// window of coalesced requests pays the WAL group-commit bill once instead
-// of once per request.
+// The serving arm behind servegate (DESIGN.md §15): the networked store's
+// Submit path driven by the in-process load generator on a durable store
+// that must fsync every acknowledged request — the configuration batching
+// exists for, where a window of coalesced requests pays the WAL group-commit
+// bill once instead of once per request. (Volatile arms on a narrow host
+// trade blocking handoffs for sub-microsecond solo commits and prove
+// nothing.)
 
 import (
 	"os"
-	"runtime"
 
 	"semstm/internal/server"
 	"semstm/stm"
 )
 
-// serverAlgo is the server grid's engine: the semantic NOrec variant whose
+const (
+	// serverWorkload is counter-heavy traffic: where the batcher's inc
+	// merging and commit amortization both engage.
+	serverWorkload = "counter"
+	// serverConns / serverShards shape the gate: heavily oversubscribed
+	// simulated connections over a modest shard count.
+	serverConns  = 1024
+	serverShards = 8
+	serverFsync  = "always"
+)
+
+// serverAlgo is the serving engine: the semantic NOrec variant whose
 // deferred increments make the counter workload's merge fold possible.
 var serverAlgo = stm.SNOrec
 
-// serverConnections is the swept simulated-connection axis: a lightly loaded
-// point and the gate's heavily oversubscribed point.
-var serverConnections = []int{64, 1024}
-
-// serverShardCounts is the swept shard axis of the server grid.
-var serverShardCounts = []int{1, 8}
-
-// serverWorkload is the grid workload: counter-heavy traffic is where the
-// batcher's inc merging and commit amortization both engage.
-const serverWorkload = "counter"
-
-// runServerCell measures one server-grid cell best-of-reps: a volatile store
-// under the in-process load generator, with the batcher's own counters
-// tagged onto batching-on cells.
-func runServerCell(cfg Config, conns, shards int, batching bool) (BaselineCell, error) {
-	var best server.LoadResult
-	var m *server.Metrics
-	var sn stm.Snapshot
-	for i := 0; i < cfg.reps(); i++ {
-		s, err := server.Open(server.Config{
-			Algo: serverAlgo, Shards: shards, Batching: batching,
-		})
-		if err != nil {
-			return BaselineCell{}, err
-		}
-		res, err := server.RunLoad(s, server.LoadConfig{
-			Workload:    serverWorkload,
-			Connections: conns,
-			Duration:    cfg.duration(),
-			Seed:        uint64(i) + 1,
-		})
-		if err != nil {
-			s.Close()
-			return BaselineCell{}, err
-		}
-		if i == 0 || res.RequestsPerSec > best.RequestsPerSec {
-			best = res
-			m = s.Metrics()
-			sn = s.Runtime().Stats()
-		}
-		if err := s.Close(); err != nil {
-			return BaselineCell{}, err
-		}
-	}
-	mode := "off"
-	if batching {
-		mode = "on"
-	}
-	cell := BaselineCell{
-		Workload:     "server-" + serverWorkload,
-		Algorithm:    serverAlgo.String(),
-		Threads:      conns,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		ThroughputK:  best.RequestsPerSec / 1000,
-		AbortRatePct: pct(best.Aborted, best.Requests),
-		Commits:      sn.Commits,
-		Aborts:       sn.Aborts,
-		ElapsedSec:   best.Elapsed.Seconds(),
-		Shards:       shards,
-		Connections:  conns,
-		Batching:     mode,
-	}
-	if batching {
-		cell.Batches = m.Batches()
-		cell.BatchMean = m.MeanBatch()
-		cell.MergedIncPct = 100 * m.MergedIncRatio()
-		cell.SoloFallbacks = m.SoloFallbacks()
-	}
-	return cell, nil
+// serveResult is one arm's load result with the batcher counters of the
+// same rep.
+type serveResult struct {
+	server.LoadResult
+	Metrics *server.Metrics
 }
 
-func pct(part, whole uint64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * float64(part) / float64(whole)
-}
-
-// serverCells measures the server grid: batching {on, off} × connections ×
-// shard counts on the counter workload.
-func serverCells(cfg Config) ([]BaselineCell, error) {
-	var cells []BaselineCell
-	for _, conns := range serverConnections {
-		for _, shards := range serverShardCounts {
-			for _, batching := range []bool{false, true} {
-				cell, err := runServerCell(cfg, conns, shards, batching)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell)
-			}
-		}
-	}
-	return cells, nil
-}
-
-// ServeGateResult is the commit-coalescing gate measurement: counter-heavy
-// throughput through the batcher vs per-request execution on an otherwise
-// identical durable store that fsyncs every acknowledged request. The ratio
-// is the PR10 acceptance number — coalescing must amortize the commit +
-// WAL-fsync path at least -servegate-min times over, or the batcher is
-// machinery without payoff.
-type ServeGateResult struct {
-	Algorithm   string
-	Connections int
-	Shards      int
-	Fsync       string
-	BatchedK    float64 // batched requests/s, thousands
-	UnbatchedK  float64 // per-request requests/s, thousands
-	Ratio       float64
-	// Batcher shape of the best batched rep: mean committed window size,
-	// merged share of merge-eligible incs, and solo fallbacks.
-	BatchMean     float64
-	MergedIncPct  float64
-	SoloFallbacks uint64
-}
-
-// serveGateArm measures one gate arm best-of-reps: a fresh durable store per
-// rep (no rep pays another's recovery), fsync "always" so every acknowledged
-// request is durable before its response — the serving configuration the
-// batcher is for.
-func serveGateArm(cfg Config, conns, shards int, batching bool) (server.LoadResult, *server.Metrics, error) {
-	var best server.LoadResult
-	var m *server.Metrics
-	for i := 0; i < cfg.reps(); i++ {
+// runServeArm measures one servegate arm best-of-reps: a fresh durable
+// store per rep (no rep pays another's recovery). The unbatched arm's
+// elapsed time includes draining its in-flight requests — at fsync "always"
+// that drain is itself fsync-bound, so keep cfg.Duration short.
+func runServeArm(cfg Config, batching bool) (serveResult, error) {
+	return bestOf(cfg.Reps, func(r serveResult) float64 { return r.RequestsPerSec }, func(rep int) (serveResult, error) {
 		dir, err := os.MkdirTemp("", "semstm-servegate-")
 		if err != nil {
-			return best, nil, err
+			return serveResult{}, err
 		}
+		defer os.RemoveAll(dir)
 		s, err := server.Open(server.Config{
-			Algo: serverAlgo, Shards: shards, Batching: batching,
-			DurableDir: dir, Fsync: "always",
+			Algo: serverAlgo, Shards: serverShards, Batching: batching,
+			DurableDir: dir, Fsync: serverFsync,
 		})
 		if err != nil {
-			os.RemoveAll(dir)
-			return best, nil, err
+			return serveResult{}, err
 		}
 		res, err := server.RunLoad(s, server.LoadConfig{
 			Workload:    serverWorkload,
-			Connections: conns,
+			Connections: serverConns,
 			Duration:    cfg.duration(),
-			Seed:        uint64(i) + 1,
+			Seed:        uint64(rep) + 1,
 		})
-		closeErr := s.Close()
-		os.RemoveAll(dir)
-		if err != nil {
-			return best, nil, err
+		out := serveResult{LoadResult: res, Metrics: s.Metrics()}
+		if closeErr := s.Close(); err == nil {
+			err = closeErr
 		}
-		if closeErr != nil {
-			return best, nil, closeErr
-		}
-		if i == 0 || res.RequestsPerSec > best.RequestsPerSec {
-			best = res
-			m = s.Metrics()
-		}
-	}
-	return best, m, nil
-}
-
-// ServeGate runs the -servegate comparison at the given connection and shard
-// counts. The unbatched arm's elapsed time includes draining its in-flight
-// requests — at fsync "always" that drain is itself fsync-bound, so keep
-// cfg.Duration short (the gate default in scripts/check.sh is 300ms).
-func ServeGate(cfg Config, conns, shards int) (ServeGateResult, error) {
-	res := ServeGateResult{
-		Algorithm:   serverAlgo.String(),
-		Connections: conns,
-		Shards:      shards,
-		Fsync:       "always",
-	}
-	batched, m, err := serveGateArm(cfg, conns, shards, true)
-	if err != nil {
-		return res, err
-	}
-	unbatched, _, err := serveGateArm(cfg, conns, shards, false)
-	if err != nil {
-		return res, err
-	}
-	res.BatchedK = batched.RequestsPerSec / 1000
-	res.UnbatchedK = unbatched.RequestsPerSec / 1000
-	if res.UnbatchedK > 0 {
-		res.Ratio = res.BatchedK / res.UnbatchedK
-	}
-	res.BatchMean = m.MeanBatch()
-	res.MergedIncPct = 100 * m.MergedIncRatio()
-	res.SoloFallbacks = m.SoloFallbacks()
-	return res, nil
+		return out, err
+	})
 }

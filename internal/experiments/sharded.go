@@ -1,21 +1,18 @@
 package experiments
 
-// The sharded-runtime grid of the v6 baseline (DESIGN.md §11): the same two
-// micro-benchmarks, run over stm.NewShardedRuntime at a fixed high thread
-// count under the interleave simulation, sweeping the shard count and the
-// cross-shard transaction fraction. The grid answers the PR6 question — how
-// much commit-path contention does partitioning the Var space remove, and
-// what does the two-phase cross-shard path cost as its fraction grows.
+// The sharded-runtime cell behind shardgate and durgate's volatile arm
+// (DESIGN.md §11): one of the two micro-benchmarks over
+// stm.NewShardedRuntime at a fixed high thread count under the interleave
+// simulation. The shard-count sweep answers the PR6 question — how much
+// commit-path contention does partitioning the Var space remove.
 
 import (
-	"fmt"
-
 	"semstm/internal/apps"
 	"semstm/internal/harness"
 	"semstm/stm"
 )
 
-// Sharded-grid constants. The grid is a weak-scaling design: every shard
+// Sharded-cell constants. The cells are a weak-scaling design: every shard
 // carries the same amount of state (accounts, table cells), so the 1-shard
 // cell and the 32-shard cell present identical per-shard contention surfaces
 // and the throughput ratio isolates the cost of sharing one clock.
@@ -25,9 +22,8 @@ const (
 	// every commit against every reader.
 	shardedThreads = 32
 	// shardedYield is the interleave-simulation period (SetYieldEvery) of the
-	// sharded grid; the cells pin GOMAXPROCS=1, so the forced yields are what
-	// interleaves the 32 workers (the figure-experiment convention, not the
-	// classic grid's width=threads policy).
+	// sharded cells; they pin GOMAXPROCS=1, so the forced yields are what
+	// interleaves the 32 workers (the figure-experiment convention).
 	shardedYield = 4
 	// shardedGOMAXPROCS pins each sharded cell to one P so the interleave
 	// simulation governs scheduling.
@@ -39,142 +35,32 @@ const (
 	shardedTableCap = 512
 )
 
-// shardedAlgos is the sharded grid's engine pair: the value-validating
-// baseline (where one global seqlock hurts most) and its semantic variant.
-var shardedAlgos = []stm.Algorithm{stm.NOrec, stm.SNOrec}
-
-// shardedShardCounts is the swept shard axis.
-var shardedShardCounts = []int{1, 8, 32}
-
-// shardedCrossFractions is the swept cross-shard fraction; the 1-shard cells
-// only run 0 (there is no boundary to cross).
-var shardedCrossFractions = []float64{0, 0.01, 0.10}
-
-// shardedWorkload builds one of the two sharded drivers by name.
-func shardedWorkload(name string, cross float64) (harness.Builder, error) {
-	switch name {
-	case "bank":
-		return func(rt *stm.Runtime) harness.Workload {
-			return apps.NewShardedBank(rt, shardedBankPerShard, shardedBankInitial, cross)
-		}, nil
-	case "hashtable":
-		return func(rt *stm.Runtime) harness.Workload {
-			return apps.NewShardedHashtable(rt, shardedTableCap, cross)
-		}, nil
+// shardedBank builds the sharded bank driver; cross is the fraction of
+// transactions that deliberately cross a shard boundary.
+func shardedBank(cross float64) harness.Builder {
+	return func(rt *stm.Runtime) harness.Workload {
+		return apps.NewShardedBank(rt, shardedBankPerShard, shardedBankInitial, cross)
 	}
-	return nil, fmt.Errorf("experiments: unknown sharded workload %q", name)
 }
 
-// runShardedCell measures one sharded cell best-of-reps, mirroring the
-// classic grid's measurement discipline.
-func runShardedCell(cfg Config, workload string, algo stm.Algorithm, nshards int, cross float64) (BaselineCell, error) {
-	build, err := shardedWorkload(workload, cross)
-	if err != nil {
-		return BaselineCell{}, err
-	}
-	var res harness.Result
-	for i := 0; i < cfg.reps(); i++ {
+// shardedHashtable builds the sharded hashtable driver, single-shard
+// transactions only.
+func shardedHashtable(rt *stm.Runtime) harness.Workload {
+	return apps.NewShardedHashtable(rt, shardedTableCap, 0)
+}
+
+// runShardedCell measures one sharded cell best-of-reps.
+func runShardedCell(cfg Config, build harness.Builder, algo stm.Algorithm, nshards int) (harness.Result, error) {
+	return bestOf(cfg.Reps, harness.Result.ThroughputKTx, func(int) (harness.Result, error) {
 		rt := stm.NewShardedRuntime(algo, nshards)
 		rt.SetYieldEvery(shardedYield)
-		// Retry immediately on abort: the grid measures raw commit-path
+		// Retry immediately on abort: the cell measures raw commit-path
 		// contention, and the default exponential backoff would mask exactly
 		// the abort storms the shard axis is swept to expose.
 		rt.SetBackoff(stm.BackoffNone)
 		w := build(rt)
 		restore := harness.ApplyProcs(shardedGOMAXPROCS, shardedThreads)
-		r, err := harness.RunTimed(rt, w, shardedThreads, cfg.duration())
-		restore()
-		if err != nil {
-			return BaselineCell{}, err
-		}
-		if i == 0 || r.ThroughputKTx() > res.ThroughputKTx() {
-			res = r
-		}
-	}
-	return BaselineCell{
-		Workload:     workload,
-		Algorithm:    algo.String(),
-		Threads:      shardedThreads,
-		GOMAXPROCS:   res.GOMAXPROCS,
-		ThroughputK:  res.ThroughputKTx(),
-		AbortRatePct: res.AbortPct(),
-		Commits:      res.Stats.Commits,
-		Aborts:       res.Stats.Aborts,
-		ElapsedSec:   res.Elapsed.Seconds(),
-		Validations:  res.Stats.Validations,
-		ValEntries:   res.Stats.ValEntries,
-		ClockAdopts:  res.Stats.ClockAdopts,
-		SpinWaits:    res.Stats.SpinWaits,
-		Escalations:  res.Stats.Escalations,
-		AbortReasons: res.Stats.ReasonCounts(),
-		AllocsPerTx:  res.AllocsPerTx,
-		BytesPerTx:   res.BytesPerTx,
-		GCPauseUS:    float64(res.GCPause.Nanoseconds()) / 1e3,
-		Shards:       nshards,
-		CrossPct:     cross,
-		CrossCommits: res.Stats.CrossCommits,
-		CrossRevals:  res.Stats.CrossRevals,
-		YieldEvery:   shardedYield,
-	}, nil
-}
-
-// shardedCells measures the whole sharded grid: {bank, hashtable} ×
-// shardedAlgos × shardedShardCounts × shardedCrossFractions, at
-// shardedThreads workers.
-func shardedCells(cfg Config) ([]BaselineCell, error) {
-	var cells []BaselineCell
-	for _, wl := range []string{"hashtable", "bank"} {
-		for _, algo := range shardedAlgos {
-			for _, n := range shardedShardCounts {
-				for _, cross := range shardedCrossFractions {
-					if n == 1 && cross != 0 {
-						continue
-					}
-					cell, err := runShardedCell(cfg, wl, algo, n, cross)
-					if err != nil {
-						return nil, err
-					}
-					cells = append(cells, cell)
-				}
-			}
-		}
-	}
-	return cells, nil
-}
-
-// ShardScalingResult is one shard-scaling gate measurement: the 1-shard cell
-// against the n-shard cell of the same workload × engine, both single-shard
-// transactions only (cross = 0).
-type ShardScalingResult struct {
-	Workload  string
-	Algorithm string
-	Shards    int
-	BaseK     float64 // 1-shard throughput, k tx/s
-	ShardedK  float64 // n-shard throughput, k tx/s
-	Ratio     float64
-}
-
-// ShardScaling measures the shard-scaling ratio the CI gate defends
-// (scripts/check.sh): n-shard single-shard-only throughput over the 1-shard
-// cell, same workload, same engine, same thread count.
-func ShardScaling(cfg Config, workload string, algo stm.Algorithm, nshards int) (ShardScalingResult, error) {
-	base, err := runShardedCell(cfg, workload, algo, 1, 0)
-	if err != nil {
-		return ShardScalingResult{}, err
-	}
-	wide, err := runShardedCell(cfg, workload, algo, nshards, 0)
-	if err != nil {
-		return ShardScalingResult{}, err
-	}
-	r := ShardScalingResult{
-		Workload:  workload,
-		Algorithm: algo.String(),
-		Shards:    nshards,
-		BaseK:     base.ThroughputK,
-		ShardedK:  wide.ThroughputK,
-	}
-	if r.BaseK > 0 {
-		r.Ratio = r.ShardedK / r.BaseK
-	}
-	return r, nil
+		defer restore()
+		return harness.RunTimed(rt, w, shardedThreads, cfg.duration())
+	})
 }

@@ -21,39 +21,10 @@ import (
 // thread count.
 type Result struct {
 	Algorithm stm.Algorithm
-	// FinalAlgorithm is the concrete engine the runtime ended the run on:
-	// equal to Algorithm for fixed runtimes, and whatever rung the online
-	// policy last switched to for Adaptive ones.
-	FinalAlgorithm stm.Algorithm
-	Threads        int
-	// GOMAXPROCS is the scheduler width the cell actually ran under —
-	// without it a committed baseline number cannot be reproduced, because
-	// thread counts above GOMAXPROCS measure oversubscription, not
-	// parallelism.
-	GOMAXPROCS int
-	Elapsed    time.Duration
-	Ops        uint64       // application-level operations completed
-	Stats      stm.Snapshot // runtime counters scoped to the run
-	// Memory-discipline metrics (schema v5): process-wide runtime.MemStats
-	// deltas scoped to the run, normalized per transaction (commits + aborts).
-	// They cover everything the cell allocates — STM runtime, workload driver,
-	// and harness — which is exactly the GC pressure the cell generates.
-	AllocsPerTx float64
-	BytesPerTx  float64
-	// GCPause is the total stop-the-world pause time the run accumulated.
-	GCPause time.Duration
-}
-
-// memDelta computes the per-transaction allocation metrics from the MemStats
-// snapshots bracketing a run.
-func memDelta(before, after *runtime.MemStats, txs uint64) (allocsPerTx, bytesPerTx float64, pause time.Duration) {
-	pause = time.Duration(after.PauseTotalNs - before.PauseTotalNs)
-	if txs == 0 {
-		return 0, 0, pause
-	}
-	allocsPerTx = float64(after.Mallocs-before.Mallocs) / float64(txs)
-	bytesPerTx = float64(after.TotalAlloc-before.TotalAlloc) / float64(txs)
-	return allocsPerTx, bytesPerTx, pause
+	Threads   int
+	Elapsed   time.Duration
+	Ops       uint64       // application-level operations completed
+	Stats     stm.Snapshot // runtime counters scoped to the run
 }
 
 // ApplyProcs installs the per-cell GOMAXPROCS policy and returns the restore
@@ -124,8 +95,6 @@ type Builder func(rt *stm.Runtime) Workload
 // the given duration and returns the measured cell.
 func RunTimed(rt *stm.Runtime, w Workload, threads int, dur time.Duration) (Result, error) {
 	before := rt.Stats()
-	var ms0 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	var stop atomic.Bool
 	var ops atomic.Uint64
 	var wg sync.WaitGroup
@@ -147,19 +116,13 @@ func RunTimed(rt *stm.Runtime, w Workload, threads int, dur time.Duration) (Resu
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
-	var ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms1)
 	res := Result{
-		Algorithm:      rt.Algorithm(),
-		FinalAlgorithm: rt.CurrentAlgorithm(),
-		Threads:        threads,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Elapsed:        elapsed,
-		Ops:            ops.Load(),
-		Stats:          rt.Stats().Sub(before),
+		Algorithm: rt.Algorithm(),
+		Threads:   threads,
+		Elapsed:   elapsed,
+		Ops:       ops.Load(),
+		Stats:     rt.Stats().Sub(before),
 	}
-	res.AllocsPerTx, res.BytesPerTx, res.GCPause =
-		memDelta(&ms0, &ms1, res.Stats.Commits+res.Stats.Aborts)
 	return res, w.Check()
 }
 
@@ -168,8 +131,6 @@ func RunTimed(rt *stm.Runtime, w Workload, threads int, dur time.Duration) (Resu
 // panels.
 func RunFixed(rt *stm.Runtime, w Workload, threads, totalOps int) (Result, error) {
 	before := rt.Stats()
-	var ms0 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	var wg sync.WaitGroup
 	per := totalOps / threads
 	start := time.Now()
@@ -189,19 +150,13 @@ func RunFixed(rt *stm.Runtime, w Workload, threads, totalOps int) (Result, error
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	var ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms1)
 	res := Result{
-		Algorithm:      rt.Algorithm(),
-		FinalAlgorithm: rt.CurrentAlgorithm(),
-		Threads:        threads,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Elapsed:        elapsed,
-		Ops:            uint64(totalOps),
-		Stats:          rt.Stats().Sub(before),
+		Algorithm: rt.Algorithm(),
+		Threads:   threads,
+		Elapsed:   elapsed,
+		Ops:       uint64(totalOps),
+		Stats:     rt.Stats().Sub(before),
 	}
-	res.AllocsPerTx, res.BytesPerTx, res.GCPause =
-		memDelta(&ms0, &ms1, res.Stats.Commits+res.Stats.Aborts)
 	return res, w.Check()
 }
 

@@ -1,28 +1,31 @@
 #!/usr/bin/env sh
-# profile.sh — capture CPU and heap (allocation) pprof profiles of the
-# baseline benchmark grid, so a perf investigation starts from a flame graph
-# instead of guesses.
+# profile.sh — capture CPU and heap (allocation) pprof profiles of one
+# semstm-bench run, so a perf investigation starts from a flame graph instead
+# of guesses.
 #
 # Usage:
-#   scripts/profile.sh [extra semstm-bench flags...]
+#   scripts/profile.sh [semstm-bench flags...]
+#
+# Without arguments it profiles `-exp fig1a`; arguments replace that, e.g.
+#   scripts/profile.sh -exp fig1c -threads 4 -dur 1s
+#   scripts/profile.sh -gate servegate
 #
 # Environment:
 #   PROFILE_DIR  output directory (default: profiles/)
-#   DUR          per-cell duration (default: 200ms)
 #
-# Writes $PROFILE_DIR/{cpu.pprof,mem.pprof,bench.json} and prints the top-10
-# of each profile. Inspect interactively with:
+# Writes $PROFILE_DIR/{cpu.pprof,mem.pprof} and prints the top-10 of each
+# profile. Inspect interactively with:
 #   go tool pprof -http=:8080 profiles/cpu.pprof
 set -eu
 
 cd "$(dirname "$0")/.."
 
 OUT="${PROFILE_DIR:-profiles}"
-DUR="${DUR:-200ms}"
 mkdir -p "$OUT"
 
+[ "$#" -gt 0 ] || set -- -exp fig1a
+
 go run ./cmd/semstm-bench \
-    -json "$OUT/bench.json" -dur "$DUR" -reps 1 \
     -cpuprofile "$OUT/cpu.pprof" -memprofile "$OUT/mem.pprof" "$@"
 
 echo
