@@ -11,16 +11,35 @@
 // "ok" is commitment, "guard" that every cmp held (writes applied); reads
 // come back in op order. Requests on one connection execute in order; open
 // many connections for concurrency (the loadgen simulates thousands).
+//
+// A request line is read exactly as json.Unmarshal reads it into a
+// WireRequest: one object, whose "id" is an unsigned integer and whose "ops"
+// is an array of objects with string "op", "ks" and "cmp", unsigned "key"
+// and signed "val". Whitespace and key order are free; unknown keys are
+// checked and skipped; null leaves a field unset; a repeated key overwrites
+// field by field; keys match case-insensitively; strings take JSON escapes;
+// integers take no fraction or exponent and must fit their type; nesting
+// stops at depth 10000; nothing but whitespace may follow the object. A line
+// that breaks these rules is answered with id 0 and an error starting "bad
+// request:"; the text after that prefix describes the fault in the codec's
+// own words, not encoding/json's, and is not part of the protocol. An
+// unknown op or comparison is answered with the line's id and
+// the ParseOpCode or ParseCmp error. A line longer than 1 MiB gets one "bad
+// request" reply, and then the connection closes. Responses are written
+// byte for byte as json.Encoder wrote WireResponse. The codec itself is
+// hand-written (wire.go); encoding/json appears only in the tests, as the
+// reference they hold the codec to.
 package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"semstm/stm"
 )
@@ -47,25 +66,6 @@ type WireResponse struct {
 	Guard bool    `json:"guard"`
 	Reads []int64 `json:"reads,omitempty"`
 	Err   string  `json:"err,omitempty"`
-}
-
-// decode translates a wire request into an executable Request.
-func (wr *WireRequest) decode() (*Request, error) {
-	r := &Request{Ops: make([]Op, len(wr.Ops))}
-	for i, wo := range wr.Ops {
-		code, err := ParseOpCode(wo.Op)
-		if err != nil {
-			return nil, err
-		}
-		op := Op{Code: code, Ks: wo.Ks, Key: wo.Key, Val: wo.Val}
-		if code == OpCmp {
-			if op.Cmp, err = ParseCmp(wo.Cmp); err != nil {
-				return nil, err
-			}
-		}
-		r.Ops[i] = op
-	}
-	return r, nil
 }
 
 // cmpName spells a semantic operator as the wire protocol does.
@@ -168,6 +168,11 @@ func (s *Server) acceptLoop() {
 // maxLine bounds one request line (1 MiB — thousands of ops).
 const maxLine = 1 << 20
 
+// keepLine is the longest line whose decoding buffers a connection keeps
+// for the next one; a longer line's are dropped, so that one huge request
+// does not pin its memory for the connection's lifetime.
+const keepLine = 4 << 10
+
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -178,39 +183,56 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	in := bufio.NewScanner(conn)
 	in.Buffer(make([]byte, 4096), maxLine)
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
+	var (
+		dec requestDecoder
+		req Request // reused: Submit returns only once the request is done
+		out []byte
+	)
 	for in.Scan() {
 		line := in.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var wr WireRequest
-		resp := WireResponse{}
-		if err := json.Unmarshal(line, &wr); err != nil {
-			resp.Err = fmt.Sprintf("bad request: %v", err)
+		id, err := dec.decode(line, &req)
+		resp := WireResponse{ID: id}
+		if err != nil {
+			resp.Err = err.Error()
 		} else {
-			resp.ID = wr.ID
-			req, err := wr.decode()
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				res := s.store.Submit(req)
-				resp.OK = res.Committed
-				resp.Guard = res.GuardOK
-				resp.Reads = res.Reads
-				if res.Err != nil {
-					resp.Err = res.Err.Error()
-				}
+			res := s.store.Submit(&req)
+			resp.OK, resp.Guard, resp.Reads = res.Committed, res.GuardOK, res.Reads
+			if res.Err != nil {
+				resp.Err = res.Err.Error()
 			}
 		}
-		if err := enc.Encode(&resp); err != nil {
+		out = appendResponse(out[:0], &resp)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
-		if err := out.Flush(); err != nil {
-			return
+		if len(line) > keepLine {
+			dec, req, out = requestDecoder{}, Request{}, nil
 		}
 	}
+	if errors.Is(in.Err(), bufio.ErrTooLong) {
+		refuseLongLine(conn)
+	}
+}
+
+// refuseLongLine answers a line that overflowed maxLine, after which the
+// stream has lost its framing, and winds the connection down: a half-close
+// puts the end of the stream right after the reply, and the input still
+// arriving is drained for up to a second, because closing a socket with
+// unread input resets the connection and can discard the reply.
+func refuseLongLine(conn net.Conn) {
+	reply := appendResponse(nil, &WireResponse{Err: "bad request: line exceeds 1 MiB"})
+	if _, err := conn.Write(reply); err != nil {
+		return
+	}
+	// Failures below only cut the wind-down short; the caller closes anyway.
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	_, _ = io.Copy(io.Discard, conn)
 }
 
 // Close stops both listeners, closes every live connection, and waits for
@@ -241,8 +263,8 @@ func (s *Server) Close() error {
 type Client struct {
 	conn net.Conn
 	in   *bufio.Scanner
-	enc  *json.Encoder
-	out  *bufio.Writer
+	out  []byte
+	dec  responseDecoder
 	next uint64
 }
 
@@ -254,17 +276,15 @@ func Dial(addr string) (*Client, error) {
 	}
 	in := bufio.NewScanner(conn)
 	in.Buffer(make([]byte, 4096), maxLine)
-	out := bufio.NewWriter(conn)
-	return &Client{conn: conn, in: in, enc: json.NewEncoder(out), out: out}, nil
+	return &Client{conn: conn, in: in}, nil
 }
 
-// Do executes one request and returns its response.
+// Do executes one request and returns its response, whose Reads the caller
+// may keep.
 func (c *Client) Do(ops []WireOp) (WireResponse, error) {
 	c.next++
-	if err := c.enc.Encode(&WireRequest{ID: c.next, Ops: ops}); err != nil {
-		return WireResponse{}, err
-	}
-	if err := c.out.Flush(); err != nil {
+	c.out = appendRequest(c.out[:0], c.next, ops)
+	if _, err := c.conn.Write(c.out); err != nil {
 		return WireResponse{}, err
 	}
 	if !c.in.Scan() {
@@ -274,7 +294,7 @@ func (c *Client) Do(ops []WireOp) (WireResponse, error) {
 		return WireResponse{}, fmt.Errorf("server: connection closed")
 	}
 	var resp WireResponse
-	if err := json.Unmarshal(c.in.Bytes(), &resp); err != nil {
+	if err := c.dec.decode(c.in.Bytes(), &resp); err != nil {
 		return WireResponse{}, err
 	}
 	return resp, nil

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"semstm/stm"
 )
@@ -99,6 +103,44 @@ func TestWireRoundTrip(t *testing.T) {
 	if !strings.Contains(string(body), "semstm_requests_total") ||
 		!strings.Contains(string(body), "semstm_batch_size_bucket") {
 		t.Fatalf("metrics body missing families:\n%s", body)
+	}
+}
+
+// TestOversizedLine sends a line one byte longer than maxLine: the server
+// cannot frame the stream past it, so it must answer with one bad-request
+// line and then close the connection, rather than close it silently.
+func TestOversizedLine(t *testing.T) {
+	s := volatileStore(t, stm.SNOrec, 4, true)
+	srv, err := Serve(s, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(append(bytes.Repeat([]byte{'x'}, maxLine+1), '\n'))
+		wrote <- err
+	}()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	in := bufio.NewReader(conn)
+	line, err := in.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply before the connection ended: %v", err)
+	}
+	if want := `{"id":0,"ok":false,"guard":false,"err":"bad request: line exceeds 1 MiB"}` + "\n"; line != want {
+		t.Fatalf("reply = %q, want %q", line, want)
+	}
+	if _, err := in.ReadByte(); err != io.EOF {
+		t.Fatalf("after the reply: %v, want EOF", err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("write: %v", err)
 	}
 }
 

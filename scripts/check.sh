@@ -2,7 +2,8 @@
 # check.sh — correctness gate for this repo. Runs, failing fast on the first
 # error: gofmt, tier-1 (go build + go test), go vet, the race-instrumented
 # robustness suites (-short unless CHECK_LONG=1: minutes, not seconds), the
-# 0-allocs/op barrier gate, vet + tests of the bench/ instrument, the quick
+# 0-allocs/op barrier gate, 10 s of fuzzing each for the wire codec's two
+# differential targets, vet + tests of the bench/ instrument, the quick
 # crash-recovery matrix, and the six acceptance gates of
 # internal/experiments/gates.go — `go run ./cmd/semstm-bench -list` prints
 # the bar each one defends.
@@ -53,6 +54,13 @@ echo "$ALLOC_OUT" | awk '
     }
     END { exit bad }
 ' || { echo "allocation gate failed (see lines above)" >&2; exit 1; }
+
+# The wire codec held to encoding/json (internal/server/wire_test.go); tier-1
+# above already ran both seed corpora and TestWireAllocs.
+for FUZZ in FuzzWireRequest FuzzWireResponse; do
+    echo "== fuzz: $FUZZ, 10s =="
+    go test ./internal/server -run '^$' -fuzz "^$FUZZ\$" -fuzztime 10s
+done
 
 # bench/ is its own module, so the root ./... above does not reach it.
 echo "== bench/: go vet + go test (BENCHMARK.json <-> program validation, histograms) =="
