@@ -207,6 +207,15 @@ func (p *FaultPlan) CrashHit(site CrashSite) bool {
 // it to stop the world once the simulated process death happened.
 func (p *FaultPlan) Crashed() bool { return p.crashed.Load() }
 
+// CrashedAt reports the armed site and whether its crash has fired; a nil
+// plan never crashes.
+func (p *FaultPlan) CrashedAt() (CrashSite, bool) {
+	if p == nil {
+		return 0, false
+	}
+	return p.crashSite, p.crashed.Load()
+}
+
 // SiteObservations returns how many times each instrumented site consulted
 // the plan, keyed by the FaultSiteNames labels.
 func (p *FaultPlan) SiteObservations() map[string]uint64 {

@@ -1,8 +1,10 @@
 package core
 
-// TxImpl is the algorithm-facing transaction interface. Each STM algorithm
-// (NOrec, S-NOrec, TL2, S-TL2, single-global-lock) provides a concrete
-// implementation; the public stm package wraps a TxImpl in a user-facing Tx.
+// TxImpl is the algorithm-facing transaction interface. Each engine family
+// (NOrec, TL2, RingSTM, the simulated HTMs, single-global-lock) provides a
+// concrete implementation; the public stm package wraps a TxImpl in a
+// user-facing Tx. Engines implement the semantic primitives natively; the
+// non-semantic baselines reach them only through Baseline.
 //
 // All methods except Commit may be called only between Start and
 // Commit/abort. Methods signal an abort by panicking with the sentinel of
@@ -18,25 +20,22 @@ type TxImpl interface {
 	Write(v *Var, val int64)
 
 	// Cmp executes the semantic conditional "*v op operand" (address–value
-	// form) and returns its outcome. Non-semantic algorithms delegate to
-	// Read and evaluate the condition locally.
+	// form) and returns its outcome.
 	Cmp(v *Var, op Op, operand int64) bool
 
 	// CmpVars executes the address–address conditional "*a op *b"
 	// (the _ITM_S2R form). Semantic algorithms record a single two-address
 	// fact whose validation re-reads both sides (the "straightforward
-	// extension" Section 4 of the paper describes); baselines delegate to
-	// two classical reads.
+	// extension" Section 4 of the paper describes).
 	CmpVars(a *Var, op Op, b *Var) bool
 
 	// Inc executes the semantic increment "*v += delta" (TM_INC/TM_DEC;
-	// delta may be negative). Non-semantic algorithms delegate to
-	// Read followed by Write.
+	// delta may be negative).
 	Inc(v *Var, delta int64)
 
 	// CmpSum evaluates the arithmetic conditional "(Σ *vars) op rhs" — the
 	// complex-expression extension of the paper's technical report.
-	// Algorithms without native expression support delegate to classical
+	// Algorithms without native expression support fall back to classical
 	// reads (or per-clause semantics where possible).
 	CmpSum(op Op, rhs int64, vars []*Var) bool
 
@@ -64,6 +63,45 @@ type TxImpl interface {
 	// irrevocable escalation mode, which must not abort.
 	SetFaultPlan(*FaultPlan)
 }
+
+// Baseline is the non-semantic view of a descriptor, the paper's baseline
+// builds: every semantic primitive runs through the classical barriers — a
+// conditional reads its operands and compares locally, an increment is a
+// read followed by a write. The stm facade binds a revocable engine
+// registered with Semantic false through this view, so no engine carries a
+// delegation branch of its own.
+type Baseline struct{ TxImpl }
+
+// Cmp reads v and evaluates the condition locally.
+func (b Baseline) Cmp(v *Var, op Op, operand int64) bool { return op.Eval(b.Read(v), operand) }
+
+// CmpVars reads both operands (right-hand side first) and compares locally.
+func (b Baseline) CmpVars(a *Var, op Op, c *Var) bool {
+	operand := b.Read(c)
+	return op.Eval(b.Read(a), operand)
+}
+
+// CmpSum reads every addend.
+func (b Baseline) CmpSum(op Op, rhs int64, vars []*Var) bool {
+	var sum int64
+	for _, v := range vars {
+		sum += b.Read(v)
+	}
+	return op.Eval(sum, rhs)
+}
+
+// CmpAny reads clause by clause, short-circuiting on the first true one.
+func (b Baseline) CmpAny(conds []Cond) bool {
+	for _, c := range conds {
+		if c.Op.Eval(b.Read(c.Var), c.Operand) {
+			return true
+		}
+	}
+	return false
+}
+
+// Inc is a read followed by a write.
+func (b Baseline) Inc(v *Var, delta int64) { b.Write(v, b.Read(v)+delta) }
 
 // TwoPhase is the decomposed commit a sharded runtime drives when one
 // transaction spans several engine instances (DESIGN.md §11). A descriptor

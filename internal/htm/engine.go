@@ -2,17 +2,17 @@ package htm
 
 import "semstm/internal/core"
 
-// engine adapts a hybrid HTM Global to the core.Engine registry interface;
-// the semantic flag selects S-HTM descriptors. The engine also surfaces the
+// engine adapts a hybrid HTM Global to the core.Engine registry interface.
+// HTM and S-HTM build the same descriptor; the baseline's semantic calls are
+// delegated by the facade (core.Baseline). The engine also surfaces the
 // fallback/hardware-abort tallies through the optional HTMReporter interface
 // the stm facade probes for.
 type engine struct {
-	g        *Global
-	semantic bool
+	g *Global
 }
 
 func (e engine) NewTx(cfg core.TxConfig) core.TxImpl {
-	tx := NewTx(e.g, e.semantic, cfg.Seed)
+	tx := NewTx(e.g, cfg.Seed)
 	// TxConfig values are applied literally (the facade always fills them);
 	// only an entirely zero HTM tuple means the caller never configured the
 	// hardware and the descriptor keeps its defaults.
@@ -68,13 +68,15 @@ func (e hyEngine) HWAborts() uint64 { return e.g.HWAborts() }
 // per-shard "clock" the routing-isolation tests probe.
 func (e hyEngine) ClockValue() uint64 { return e.g.Sequence() }
 
+func newEngine() core.Engine { return engine{g: NewGlobal()} }
+
 func init() {
 	core.RegisterEngine(core.EngineDesc{
 		ID:           core.EngineHTM,
 		Name:         "HTM",
 		DisplayOrder: 7,
 		HTMBacked:    true,
-		New:          func() core.Engine { return engine{g: NewGlobal()} },
+		New:          newEngine,
 	})
 	core.RegisterEngine(core.EngineDesc{
 		ID:            core.EngineSHTM,
@@ -83,7 +85,7 @@ func init() {
 		Semantic:      true,
 		ComposedFacts: true,
 		HTMBacked:     true,
-		New:           func() core.Engine { return engine{g: NewGlobal(), semantic: true} },
+		New:           newEngine,
 	})
 	core.RegisterEngine(core.EngineDesc{
 		ID:             core.EngineHyTM,

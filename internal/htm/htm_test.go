@@ -10,23 +10,34 @@ import (
 
 // newQuietTx returns a descriptor with spurious aborts disabled so tests are
 // deterministic.
-func newQuietTx(g *Global, semantic bool) *Tx {
-	tx := NewTx(g, semantic, 1)
+func newQuietTx(g *Global) *Tx {
+	tx := NewTx(g, 1)
 	tx.SpuriousPct = 0
 	return tx
+}
+
+// view returns tx itself (S-HTM) or, when semantic is false, the classic HTM
+// baseline: tx behind core.Baseline, exactly as the stm facade binds the
+// registered HTM engine.
+func view(tx *Tx, semantic bool) core.TxImpl {
+	if semantic {
+		return tx
+	}
+	return core.Baseline{TxImpl: tx}
 }
 
 func TestCommitVisibility(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		v := core.NewVar(1)
-		tx := newQuietTx(g, semantic)
+		tx := newQuietTx(g)
 		tx.NewEpoch()
-		if !txtest.MustCommit(tx, func() {
-			if got := tx.Read(v); got != 1 {
+		impl := view(tx, semantic)
+		if !txtest.MustCommit(impl, func() {
+			if got := impl.Read(v); got != 1 {
 				t.Fatalf("Read = %d", got)
 			}
-			tx.Write(v, 2)
+			impl.Write(v, 2)
 		}) {
 			t.Fatal("solo hardware commit must succeed")
 		}
@@ -42,7 +53,7 @@ func TestCommitVisibility(t *testing.T) {
 func TestCapacityAbortAndFallback(t *testing.T) {
 	g := NewGlobal()
 	vars := core.NewVars(100, 0)
-	tx := newQuietTx(g, false)
+	tx := newQuietTx(g)
 	tx.Capacity = 16
 	tx.MaxHWRetries = 2
 	tx.NewEpoch()
@@ -73,7 +84,7 @@ func TestCapacityAbortAndFallback(t *testing.T) {
 		}
 	}
 	// The fallback lock must be released: another hardware txn commits.
-	t2 := newQuietTx(g, false)
+	t2 := newQuietTx(g)
 	t2.NewEpoch()
 	if !txtest.MustCommit(t2, func() { t2.Write(vars[0], 77) }) {
 		t.Fatal("post-fallback hardware commit failed")
@@ -89,13 +100,14 @@ func TestSemanticSavesCapacity(t *testing.T) {
 	run := func(semantic bool) (fallbacks uint64) {
 		g := NewGlobal()
 		vars := core.NewVars(n, 0)
-		tx := newQuietTx(g, semantic)
+		tx := newQuietTx(g)
 		tx.Capacity = n + n/2 // fits n incs, not n reads + n writes
 		tx.MaxHWRetries = 1
 		tx.NewEpoch()
-		for !txtest.MustCommit(tx, func() {
+		impl := view(tx, semantic)
+		for !txtest.MustCommit(impl, func() {
 			for _, v := range vars {
-				tx.Inc(v, 1)
+				impl.Inc(v, 1)
 			}
 		}) {
 		}
@@ -112,7 +124,7 @@ func TestSemanticSavesCapacity(t *testing.T) {
 func TestSpuriousAbortsRetry(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(0)
-	tx := NewTx(g, false, 7)
+	tx := NewTx(g, 7)
 	tx.SpuriousPct = 100 // every hardware commit fails
 	tx.MaxHWRetries = 3
 	tx.NewEpoch()
@@ -136,7 +148,7 @@ func TestLockSubscription(t *testing.T) {
 	x, y := core.NewVar(0), core.NewVar(0)
 
 	// A fallback transaction holds the lock...
-	fb := newQuietTx(g, false)
+	fb := newQuietTx(g)
 	fb.MaxHWRetries = -1 // force immediate fallback
 	fb.NewEpoch()
 	fb.Start()
@@ -149,7 +161,7 @@ func TestLockSubscription(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		hw := newQuietTx(g, false)
+		hw := newQuietTx(g)
 		hw.NewEpoch()
 		hw.Start() // blocks on the odd sequence lock
 		if got := hw.Read(x); got != 1 {
@@ -172,8 +184,8 @@ func TestLockSubscription(t *testing.T) {
 func TestSemanticFactsSurviveInHardware(t *testing.T) {
 	g := NewGlobal()
 	x, z := core.NewVar(5), core.NewVar(0)
-	t1 := newQuietTx(g, true)
-	t2 := newQuietTx(g, true)
+	t1 := newQuietTx(g)
+	t2 := newQuietTx(g)
 	t1.NewEpoch()
 	t2.NewEpoch()
 

@@ -2,8 +2,8 @@
 // demotion ladder, plus the decomposed two-phase commit that lets a sharded
 // runtime host the engine.
 //
-// A slow-path attempt is an S-NOrec-style software transaction running the
-// instrumented barriers of middle.go with the hardware failure modes off.
+// A slow-path attempt is a plain S-NOrec attempt on the seqlock kernel: the
+// hooks' hardware failure modes are off on this path.
 // On a classic runtime, SlowRetries software failures escalate once more to
 // the irrevocable global-lock fallback (the same sequence lock, held odd),
 // which cannot abort and therefore guarantees progress. Sharded runtimes
@@ -13,93 +13,46 @@
 // bound and progress comes from the runtime-level escalation gate instead.
 package htm
 
-import "semstm/internal/core"
-
-// hyTwoPhaseWaitBound bounds how many sequence-lock wait rounds a two-phase
-// Prepare/Validate tolerates before giving up. A cross-shard committer holds
-// its earlier shards' locks while acquiring later ones; an unbounded wait
-// there could deadlock against a committer arriving in the opposite order on
-// a different runtime topology. Aborting after a bounded wait (and releasing
-// everything via Cleanup) restores progress.
-const hyTwoPhaseWaitBound = 128
-
-// startFallback begins an irrevocable attempt: acquire the sequence lock
-// (odd = held), run every barrier in place. Only reachable on classic
-// runtimes once the slow path's own retry budget is spent.
-func (tx *HyTx) startFallback() {
-	tx.waiter.Reset()
-	for {
-		s := tx.g.seq.Load()
-		if s&1 == 0 && tx.g.seq.CompareAndSwap(s, s+1) {
-			break
-		}
-		tx.waiter.Wait()
-		tx.stats.SpinWaits++
-	}
-	tx.irrevocable = true
-	tx.g.fallbacks.Add(1)
-}
+import "semstm/internal/norec"
 
 // Prepare acquires this shard's sequence lock with the read-set validated —
 // phase one of the decomposed commit (core.TwoPhase). Read-only participants
 // acquire nothing. The hardware paths keep their character here: a spurious
 // failure can still kill the attempt at the commit point, the fast path
 // adopts moved epochs by signature intersection (fast.go), and the
-// instrumented paths validate-and-adopt like a NOrec writer — both bounded
-// so cross-shard lock acquisition stays deadlock-free.
+// instrumented paths run the kernel's validate-and-adopt — both bounded
+// (norec.TwoPhaseWaitBound) so cross-shard lock acquisition stays
+// deadlock-free.
 func (tx *HyTx) Prepare() {
-	if tx.writes.Len() == 0 {
+	if tx.WriteSet().Len() == 0 {
 		return
 	}
-	if tx.path != pathSlow && tx.SpuriousPct > 0 && tx.rng.Float64()*100 < tx.SpuriousPct {
-		tx.abortPath(core.ReasonSpurious)
-	}
+	tx.spurious()
 	if tx.path == pathFast {
-		for !tx.g.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
-			tx.fastAdoptLimit(hyTwoPhaseWaitBound)
+		for !tx.TryLock() {
+			tx.fastAdoptLimit(norec.TwoPhaseWaitBound)
 		}
-	} else {
-		for !tx.g.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
-			tx.stats.ClockAdopts++
-			tx.snapshot = tx.validateLimit(hyTwoPhaseWaitBound)
-		}
+		return
 	}
-	tx.locked = true
+	tx.Tx.Prepare()
 }
 
 // Validate re-checks this participant under the cross-shard decision point.
 // A writing participant holds its shard's lock since Prepare, so nothing can
 // have moved; a read-only participant revalidates live: the fast path
 // intersects its read signature against any epochs that moved, the
-// instrumented paths run a bounded classical validation.
+// instrumented paths run the kernel's bounded validation.
 func (tx *HyTx) Validate() {
-	if tx.locked {
+	if tx.path == pathFast && !tx.Locked() {
+		tx.fastAdoptLimit(norec.TwoPhaseWaitBound)
 		return
 	}
-	if tx.path == pathFast {
-		tx.fastAdoptLimit(hyTwoPhaseWaitBound)
-		return
-	}
-	tx.snapshot = tx.validateLimit(hyTwoPhaseWaitBound)
+	tx.Tx.Validate()
 }
 
 // Publish applies the write-set and releases the lock — phase two, reached
 // only after every participating shard validated.
 func (tx *HyTx) Publish() {
-	if !tx.locked {
-		tx.countCommit() // read-only participant
-		tx.lastW = tx.snapshot
-		tx.slot.Clear()
-		return
-	}
-	tx.g.stampSig(tx.snapshot+2, tx.writes) // fast readers check this epoch
-	if tx.fp != nil {
-		tx.fp.CommitDelay() // stretch the publish window under the lock
-	}
-	tx.publish()
-	tx.g.seq.Store(tx.snapshot + 2)
-	tx.locked = false
+	tx.Tx.Publish()
 	tx.countCommit()
-	tx.lastW = tx.snapshot + 2
-	tx.slot.Clear()
 }

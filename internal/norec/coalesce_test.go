@@ -15,8 +15,8 @@ import (
 func TestCoalescedValidationCatchesLateWrite(t *testing.T) {
 	g := NewGlobal()
 	x, y, z, w := core.NewVar(0), core.NewVar(0), core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	wr := NewTx(g, true)
+	t1 := NewTx(g)
+	wr := NewTx(g)
 
 	t1.Start()
 	if !txtest.Step(t1, func() {
@@ -56,8 +56,8 @@ func TestCoalescedValidationCatchesLateWrite(t *testing.T) {
 func TestAdoptedCommitSurvivesUnrelatedLateWrite(t *testing.T) {
 	g := NewGlobal()
 	x, z, w := core.NewVar(3), core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	wr := NewTx(g, true)
+	t1 := NewTx(g)
+	wr := NewTx(g)
 
 	t1.Start()
 	if !txtest.Step(t1, func() {
@@ -86,8 +86,8 @@ func TestAdoptedCommitSurvivesUnrelatedLateWrite(t *testing.T) {
 func TestWatermarkSkipsRedundantWalk(t *testing.T) {
 	g := NewGlobal()
 	x, z := core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	wr := NewTx(g, true)
+	t1 := NewTx(g)
+	wr := NewTx(g)
 
 	t1.Start()
 	txtest.Step(t1, func() { _ = t1.Read(x) })
@@ -119,7 +119,7 @@ func TestReadOnlyCommitZeroCAS(t *testing.T) {
 	g := NewGlobal()
 	x := core.NewVar(5)
 	for _, semantic := range []bool{false, true} {
-		t1 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
 		before := g.Sequence()
 		if !txtest.MustCommit(t1, func() {
 			_ = t1.Read(x)

@@ -2,16 +2,16 @@ package norec
 
 import "semstm/internal/core"
 
-// engine adapts a NOrec Global to the core.Engine registry interface; the
-// semantic flag selects between baseline NOrec and S-NOrec descriptors over
-// the same global sequence lock.
+// engine adapts a NOrec Global to the core.Engine registry interface. NOrec
+// and S-NOrec build the same descriptor; the baseline's semantic calls are
+// delegated by the facade (core.Baseline), keyed on the registered Semantic
+// flag.
 type engine struct {
-	g        *Global
-	semantic bool
+	g *Global
 }
 
 func (e engine) NewTx(cfg core.TxConfig) core.TxImpl {
-	tx := NewTx(e.g, e.semantic)
+	tx := NewTx(e.g)
 	tx.SetDedupReads(cfg.DedupReads)
 	return tx
 }
@@ -23,13 +23,15 @@ func (e engine) Quiescent() error { return e.g.Quiescent() }
 // transactions never move another shard's commit metadata.
 func (e engine) ClockValue() uint64 { return e.g.Sequence() }
 
+func newEngine() core.Engine { return engine{g: NewGlobal()} }
+
 func init() {
 	core.RegisterEngine(core.EngineDesc{
 		ID:           core.EngineNOrec,
 		Name:         "NOrec",
 		DisplayOrder: 0,
 		TwoPhase:     true,
-		New:          func() core.Engine { return engine{g: NewGlobal()} },
+		New:          newEngine,
 	})
 	core.RegisterEngine(core.EngineDesc{
 		ID:            core.EngineSNOrec,
@@ -38,6 +40,6 @@ func init() {
 		Semantic:      true,
 		ComposedFacts: true,
 		TwoPhase:      true,
-		New:           func() core.Engine { return engine{g: NewGlobal(), semantic: true} },
+		New:           newEngine,
 	})
 }

@@ -14,8 +14,8 @@ func TestCmpSumSurvivesCompensation(t *testing.T) {
 	run := func(semantic bool) bool {
 		g := NewGlobal()
 		x, y, z := core.NewVar(10), core.NewVar(-3), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		if !t1.CmpSum(core.OpGT, 0, []*core.Var{x, y}) {
@@ -38,8 +38,8 @@ func TestCmpSumSurvivesCompensation(t *testing.T) {
 func TestCmpSumAbortsOnOutcomeFlip(t *testing.T) {
 	g := NewGlobal()
 	x, y, z := core.NewVar(10), core.NewVar(-3), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	_ = t1.CmpSum(core.OpGT, 0, []*core.Var{x, y})
@@ -55,8 +55,8 @@ func TestCmpAnySurvivesClauseFlip(t *testing.T) {
 	run := func(semantic bool) bool {
 		g := NewGlobal()
 		x, y, z := core.NewVar(5), core.NewVar(5), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		ok := t1.CmpAny([]core.Cond{
@@ -80,8 +80,8 @@ func TestCmpAnySurvivesClauseFlip(t *testing.T) {
 func TestCmpAnyAbortsWhenAllClausesDie(t *testing.T) {
 	g := NewGlobal()
 	x, y, z := core.NewVar(5), core.NewVar(5), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	_ = t1.CmpAny([]core.Cond{
@@ -100,8 +100,8 @@ func TestCmpAnyAbortsWhenAllClausesDie(t *testing.T) {
 func TestCmpAnyFalseOutcome(t *testing.T) {
 	g := NewGlobal()
 	x, y, z := core.NewVar(-5), core.NewVar(-5), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	if t1.CmpAny([]core.Cond{
@@ -135,7 +135,7 @@ func TestCmpAnyFalseOutcome(t *testing.T) {
 func TestCmpSumWriteSetDelegation(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(1), core.NewVar(1)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		tx.Write(x, 100)
 		if !tx.CmpSum(core.OpGT, 50, []*core.Var{x, y}) {
@@ -149,7 +149,7 @@ func TestCmpSumWriteSetDelegation(t *testing.T) {
 func TestCmpAnyWriteSetDelegation(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(-1), core.NewVar(-1)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		tx.Write(x, 5)
 		ok := tx.CmpAny([]core.Cond{
@@ -165,7 +165,7 @@ func TestCmpAnyWriteSetDelegation(t *testing.T) {
 func TestExprStatsCount(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(1), core.NewVar(2)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		_ = tx.CmpSum(core.OpGT, 0, []*core.Var{x, y})
 		_ = tx.CmpAny([]core.Cond{{Var: x, Op: core.OpGT, Operand: 0}})

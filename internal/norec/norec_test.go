@@ -7,11 +7,21 @@ import (
 	"semstm/internal/txtest"
 )
 
+// newTx builds an S-NOrec descriptor, or — when semantic is false — the NOrec
+// baseline: the same descriptor behind core.Baseline, exactly as the stm
+// facade binds the registered NOrec engine.
+func newTx(g *Global, semantic bool) core.TxImpl {
+	if semantic {
+		return NewTx(g)
+	}
+	return core.Baseline{TxImpl: NewTx(g)}
+}
+
 func TestCommitVisibility(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		v := core.NewVar(1)
-		tx := NewTx(g, semantic)
+		tx := newTx(g, semantic)
 		if !txtest.MustCommit(tx, func() {
 			if got := tx.Read(v); got != 1 {
 				t.Fatalf("Read = %d", got)
@@ -30,7 +40,7 @@ func TestReadYourOwnWrite(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		v := core.NewVar(1)
-		tx := NewTx(g, semantic)
+		tx := newTx(g, semantic)
 		txtest.MustCommit(tx, func() {
 			tx.Write(v, 7)
 			if got := tx.Read(v); got != 7 {
@@ -46,7 +56,7 @@ func TestReadYourOwnWrite(t *testing.T) {
 func TestIncDeferredUntilCommit(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(10)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		tx.Inc(v, 5)
 		tx.Inc(v, -2)
@@ -70,8 +80,8 @@ func TestIncDeferredUntilCommit(t *testing.T) {
 func TestIncAppliesConcurrentDelta(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(100)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	t1.Inc(v, 1)
@@ -93,8 +103,8 @@ func TestIncAppliesConcurrentDelta(t *testing.T) {
 func TestIncAbortsUnderBaseline(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(100)
-	t1 := NewTx(g, false)
-	t2 := NewTx(g, false)
+	t1 := core.Baseline{TxImpl: NewTx(g)}
+	t2 := core.Baseline{TxImpl: NewTx(g)}
 
 	t1.Start()
 	t1.Inc(v, 1) // delegates to Read + Write: pins value 100
@@ -110,7 +120,7 @@ func TestIncAbortsUnderBaseline(t *testing.T) {
 func TestIncPromotionOnRead(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(10)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		tx.Inc(v, 3)
 		if got := tx.Read(v); got != 13 {
@@ -135,8 +145,8 @@ func TestIncPromotionOnRead(t *testing.T) {
 func TestPromotedIncPinsValue(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(10)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	t1.Inc(v, 3)
@@ -158,8 +168,8 @@ func TestPaperAlgorithm1(t *testing.T) {
 	run := func(semantic bool) (committed bool, final int64) {
 		g := NewGlobal()
 		x, y, z := core.NewVar(5), core.NewVar(5), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		ok1 := t1.Cmp(x, core.OpGT, 0)
@@ -196,8 +206,8 @@ func TestPaperAlgorithm1(t *testing.T) {
 func TestPaperAlgorithm8(t *testing.T) {
 	g := NewGlobal()
 	x, y, z := core.NewVar(0), core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	if !t1.Cmp(x, core.OpGTE, 0) {
@@ -226,8 +236,8 @@ func TestPaperAlgorithm8(t *testing.T) {
 	// Baseline NOrec aborts at the read of y: the read of x pinned value 0.
 	g2 := NewGlobal()
 	x2, y2 := core.NewVar(0), core.NewVar(0)
-	b1 := NewTx(g2, false)
-	b2 := NewTx(g2, false)
+	b1 := core.Baseline{TxImpl: NewTx(g2)}
+	b2 := core.Baseline{TxImpl: NewTx(g2)}
 	b1.Start()
 	_ = b1.Cmp(x2, core.OpGTE, 0)
 	txtest.MustCommit(b2, func() {
@@ -246,8 +256,8 @@ func TestPaperAlgorithm8(t *testing.T) {
 func TestPaperAlgorithm9(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	if got := t1.Read(y); got != 0 {
@@ -270,8 +280,8 @@ func TestPaperAlgorithm9(t *testing.T) {
 func TestCmpFalseOutcomeValidated(t *testing.T) {
 	g := NewGlobal()
 	x, z := core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	if t1.Cmp(x, core.OpGT, 10) {
@@ -303,8 +313,8 @@ func TestWriteSkewAborted(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		x, y := core.NewVar(0), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		t2.Start()
@@ -326,7 +336,7 @@ func TestWriteSkewAborted(t *testing.T) {
 func TestReadOnlyCommitLeavesLockAlone(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(3)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	before := g.Sequence()
 	txtest.MustCommit(tx, func() {
 		_ = tx.Read(v)
@@ -340,7 +350,7 @@ func TestReadOnlyCommitLeavesLockAlone(t *testing.T) {
 func TestSequenceLockParity(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(0)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	for i := 0; i < 5; i++ {
 		txtest.MustCommit(tx, func() { tx.Write(v, int64(i)) })
 	}
@@ -356,7 +366,7 @@ func TestDelegationStats(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(5)
 
-	base := NewTx(g, false)
+	base := core.Baseline{TxImpl: NewTx(g)}
 	txtest.MustCommit(base, func() {
 		_ = base.Cmp(v, core.OpGT, 0)
 		base.Inc(v, 1)
@@ -369,7 +379,7 @@ func TestDelegationStats(t *testing.T) {
 		t.Fatalf("baseline delegation counts: %+v (want 2 reads, 1 write)", bs)
 	}
 
-	sem := NewTx(g, true)
+	sem := NewTx(g)
 	txtest.MustCommit(sem, func() {
 		_ = sem.Cmp(v, core.OpGT, 0)
 		sem.Inc(v, 1)
@@ -383,7 +393,7 @@ func TestDelegationStats(t *testing.T) {
 func TestCmpVarsNativeFact(t *testing.T) {
 	g := NewGlobal()
 	a, b := core.NewVar(3), core.NewVar(7)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		if tx.CmpVars(a, core.OpLT, b) != true {
 			t.Fatal("3 < 7")
@@ -405,8 +415,8 @@ func TestCmpVarsSurvivesDualUpdate(t *testing.T) {
 	run := func(semantic bool) bool {
 		g := NewGlobal()
 		head, tail, z := core.NewVar(2), core.NewVar(5), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		if t1.CmpVars(head, core.OpEQ, tail) {
@@ -432,8 +442,8 @@ func TestCmpVarsSurvivesDualUpdate(t *testing.T) {
 func TestCmpVarsAbortsOnOutcomeFlip(t *testing.T) {
 	g := NewGlobal()
 	head, tail, z := core.NewVar(4), core.NewVar(5), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	if t1.CmpVars(head, core.OpEQ, tail) {
@@ -450,7 +460,7 @@ func TestCmpVarsAbortsOnOutcomeFlip(t *testing.T) {
 func TestCmpVarsWriteSetFallback(t *testing.T) {
 	g := NewGlobal()
 	a, b := core.NewVar(3), core.NewVar(7)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		tx.Write(a, 9)
 		if !tx.CmpVars(a, core.OpGT, b) {
@@ -468,7 +478,7 @@ func TestCmpVarsWriteSetFallback(t *testing.T) {
 func TestReadAfterReadDuplicates(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(1)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		_ = tx.Read(v)
 		_ = tx.Read(v)

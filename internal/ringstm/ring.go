@@ -82,7 +82,10 @@ type Tx struct {
 	stats    core.TxStats
 }
 
-// NewTx returns a descriptor bound to g; semantic selects S-RingSTM.
+// NewTx returns a descriptor bound to g. semantic selects how a signature hit
+// is resolved: S-RingSTM re-validates its facts by value, classic RingSTM
+// aborts (and keeps no values). The baseline's semantic calls are delegated
+// by the facade (core.Baseline), so only validation consults the flag.
 func NewTx(g *Global, semantic bool) *Tx {
 	return &Tx{
 		g:        g,
@@ -264,9 +267,6 @@ func (tx *Tx) Write(v *core.Var, val int64) {
 // the signature bit; a later signature hit re-evaluates the fact instead of
 // aborting.
 func (tx *Tx) Cmp(v *core.Var, op core.Op, operand int64) bool {
-	if !tx.semantic {
-		return op.Eval(tx.Read(v), operand)
-	}
 	tx.stats.Compares++
 	if tx.fp != nil {
 		tx.fp.Step(core.SiteCmp)
@@ -283,10 +283,6 @@ func (tx *Tx) Cmp(v *core.Var, op core.Op, operand int64) bool {
 
 // CmpVars implements the address–address conditional with a two-address fact.
 func (tx *Tx) CmpVars(a *core.Var, op core.Op, b *core.Var) bool {
-	if !tx.semantic {
-		operand := tx.Read(b)
-		return op.Eval(tx.Read(a), operand)
-	}
 	// One indexed lookup per operand (see the WriteSet Bloom fast path).
 	if eb := tx.writes.Get(b); eb != nil || tx.writes.Get(a) != nil {
 		var operand int64
@@ -318,21 +314,14 @@ func (tx *Tx) CmpVars(a *core.Var, op core.Op, b *core.Var) bool {
 
 // CmpSum implements the arithmetic-expression conditional (extension).
 func (tx *Tx) CmpSum(op core.Op, rhs int64, vars []*core.Var) bool {
-	delegate := !tx.semantic
-	if !delegate {
-		for _, v := range vars {
-			if tx.writes.Get(v) != nil {
-				delegate = true
-				break
+	for _, v := range vars {
+		if tx.writes.Get(v) != nil {
+			var sum int64
+			for _, v := range vars {
+				sum += tx.Read(v)
 			}
+			return op.Eval(sum, rhs)
 		}
-	}
-	if delegate {
-		var sum int64
-		for _, v := range vars {
-			sum += tx.Read(v)
-		}
-		return op.Eval(sum, rhs)
 	}
 	tx.stats.Compares++
 	var sum int64
@@ -356,14 +345,6 @@ func (tx *Tx) CmpSum(op core.Op, rhs int64, vars []*core.Var) bool {
 
 // CmpAny implements the composed condition (extension).
 func (tx *Tx) CmpAny(conds []core.Cond) bool {
-	if !tx.semantic {
-		for _, c := range conds {
-			if c.Op.Eval(tx.Read(c.Var), c.Operand) {
-				return true
-			}
-		}
-		return false
-	}
 	for _, c := range conds {
 		if tx.writes.Get(c.Var) != nil {
 			for _, cc := range conds {
@@ -398,10 +379,6 @@ func (tx *Tx) CmpAny(conds []core.Cond) bool {
 
 // Inc implements the semantic increment.
 func (tx *Tx) Inc(v *core.Var, delta int64) {
-	if !tx.semantic {
-		tx.Write(v, tx.Read(v)+delta)
-		return
-	}
 	tx.stats.Incs++
 	tx.writes.PutInc(v, delta)
 	tx.wf.add(v.ID())

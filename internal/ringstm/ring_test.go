@@ -8,6 +8,16 @@ import (
 	"semstm/internal/txtest"
 )
 
+// newTx builds an S-RingSTM descriptor, or — when semantic is false — the
+// classic RingSTM baseline: the signature-validating descriptor behind
+// core.Baseline, exactly as the stm facade binds the registered engine.
+func newTx(g *Global, semantic bool) core.TxImpl {
+	if semantic {
+		return NewTx(g, true)
+	}
+	return core.Baseline{TxImpl: NewTx(g, false)}
+}
+
 func TestFilterBasics(t *testing.T) {
 	var f, g filter
 	if !f.empty() {
@@ -49,7 +59,7 @@ func TestCommitVisibility(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		v := core.NewVar(1)
-		tx := NewTx(g, semantic)
+		tx := newTx(g, semantic)
 		if !txtest.MustCommit(tx, func() {
 			if got := tx.Read(v); got != 1 {
 				t.Fatalf("Read = %d", got)
@@ -87,8 +97,8 @@ func TestSignatureConflictSemanticRescue(t *testing.T) {
 	run := func(semantic bool) bool {
 		g := NewGlobal()
 		x, z := core.NewVar(5), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		if !t1.Cmp(x, core.OpGT, 0) {
@@ -123,8 +133,8 @@ func TestPaperAlgorithm1(t *testing.T) {
 	run := func(semantic bool) bool {
 		g := NewGlobal()
 		x, y, z := core.NewVar(5), core.NewVar(5), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		if !txtest.Step(t1, func() {
@@ -169,8 +179,8 @@ func TestWriteSkew(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		x, y := core.NewVar(0), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		t2.Start()
@@ -217,7 +227,7 @@ func TestConcurrentCounter(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				tx := NewTx(g, semantic)
+				tx := newTx(g, semantic)
 				for i := 0; i < per; i++ {
 					for !txtest.MustCommit(tx, func() { tx.Inc(v, 1) }) {
 					}
@@ -234,7 +244,7 @@ func TestConcurrentCounter(t *testing.T) {
 func TestDelegationStats(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(5)
-	base := NewTx(g, false)
+	base := newTx(g, false)
 	txtest.MustCommit(base, func() {
 		_ = base.Cmp(v, core.OpGT, 0)
 		base.Inc(v, 1)

@@ -37,7 +37,7 @@ func TestFetchAddCommitPath(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		v := core.NewVar(0)
-		tx := NewTx(g, semantic)
+		tx := newTx(g, semantic)
 		for i := 0; i < 8; i++ {
 			if !txtest.MustCommit(tx, func() { tx.Write(v, int64(i)) }) {
 				t.Fatal("solo writer must commit")
@@ -60,7 +60,7 @@ func TestSemanticCommitRevalidatesOnMovedClock(t *testing.T) {
 	// Broken fact: T1 holds x==0, T2 makes x nonzero, T1's commit must abort.
 	g := NewGlobal()
 	x, y, z := core.NewVar(0), core.NewVar(0), core.NewVar(0)
-	t1, t2 := NewTx(g, true), NewTx(g, true)
+	t1, t2 := NewTx(g), NewTx(g)
 	t1.Start()
 	if !txtest.Step(t1, func() {
 		if !t1.Cmp(x, core.OpEQ, 0) {
@@ -123,7 +123,7 @@ func TestClockAdoptionUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tx := NewTx(g, true)
+			tx := NewTx(g)
 			mine := vars[w]
 			for i := 0; i < txPerWorker; i++ {
 				for { // retry aborts

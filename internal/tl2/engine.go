@@ -3,14 +3,14 @@ package tl2
 import "semstm/internal/core"
 
 // engine adapts a TL2 Global (clock + orec table) to the core.Engine
-// registry interface; the semantic flag selects S-TL2 descriptors.
+// registry interface. TL2 and S-TL2 build the same descriptor; the
+// baseline's semantic calls are delegated by the facade (core.Baseline).
 type engine struct {
-	g        *Global
-	semantic bool
+	g *Global
 }
 
 func (e engine) NewTx(cfg core.TxConfig) core.TxImpl {
-	tx := NewTx(e.g, e.semantic)
+	tx := NewTx(e.g)
 	tx.SetNoExtend(cfg.NoExtend)
 	return tx
 }
@@ -22,13 +22,15 @@ func (e engine) Quiescent() error { return e.g.Quiescent() }
 // transactions never move another shard's commit metadata.
 func (e engine) ClockValue() uint64 { return e.g.Clock() }
 
+func newEngine() core.Engine { return engine{g: NewGlobal()} }
+
 func init() {
 	core.RegisterEngine(core.EngineDesc{
 		ID:           core.EngineTL2,
 		Name:         "TL2",
 		DisplayOrder: 2,
 		TwoPhase:     true,
-		New:          func() core.Engine { return engine{g: NewGlobal()} },
+		New:          newEngine,
 	})
 	core.RegisterEngine(core.EngineDesc{
 		ID:           core.EngineSTL2,
@@ -39,6 +41,6 @@ func init() {
 		// (per-orec versioning has no composed-fact representation), so
 		// ComposedFacts stays false.
 		TwoPhase: true,
-		New:      func() core.Engine { return engine{g: NewGlobal(), semantic: true} },
+		New:      newEngine,
 	})
 }

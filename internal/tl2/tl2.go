@@ -16,7 +16,6 @@ type heldLock struct {
 // Tx is one TL2 / S-TL2 transaction descriptor, reused across attempts.
 type Tx struct {
 	g            *Global
-	semantic     bool
 	noExtend     bool
 	id           uint64 // unique per attempt; owner stamp for locked orecs
 	startVersion uint64
@@ -41,13 +40,11 @@ type Tx struct {
 // readSetMinCap is the pre-sized (and clamp floor) capacity of the read-set.
 const readSetMinCap = 32
 
-// NewTx returns a transaction descriptor bound to g. If semantic is true the
-// descriptor runs S-TL2; otherwise baseline TL2 with semantic operations
-// delegated to classical barriers.
-func NewTx(g *Global, semantic bool) *Tx {
+// NewTx returns an S-TL2 transaction descriptor bound to g (baseline TL2 is
+// the same descriptor behind the facade's core.Baseline delegation).
+func NewTx(g *Global) *Tx {
 	return &Tx{
 		g:        g,
-		semantic: semantic,
 		reads:    make([]*orec, 0, readSetMinCap),
 		compares: core.NewSemSet(),
 		writes:   core.NewWriteSet(),
@@ -162,9 +159,6 @@ func (tx *Tx) Write(v *core.Var, val int64) {
 // TL2 version checks, but the fact still lands in the compare-set so that
 // commit-time validation is semantic.
 func (tx *Tx) Cmp(v *core.Var, op core.Op, operand int64) bool {
-	if !tx.semantic {
-		return op.Eval(tx.Read(v), operand)
-	}
 	tx.stats.Compares++
 	if tx.fp != nil {
 		tx.fp.Step(core.SiteCmp)
@@ -251,10 +245,6 @@ func (tx *Tx) cmpPhase2(v *core.Var, o *orec, op core.Op, operand int64) bool {
 // orecs around the loads. Operands with buffered writes fall back to the
 // address–value machinery.
 func (tx *Tx) CmpVars(a *core.Var, op core.Op, b *core.Var) bool {
-	if !tx.semantic {
-		operand := tx.Read(b)
-		return op.Eval(tx.Read(a), operand)
-	}
 	// One indexed lookup per operand (see the WriteSet Bloom fast path).
 	if eb := tx.writes.Get(b); eb != nil || tx.writes.Get(a) != nil {
 		var operand int64
@@ -368,10 +358,6 @@ func (tx *Tx) CmpAny(conds []core.Cond) bool {
 // Inc implements the semantic increment; write-set handling is identical to
 // S-NOrec (the paper omits it from Algorithm 7 for that reason).
 func (tx *Tx) Inc(v *core.Var, delta int64) {
-	if !tx.semantic {
-		tx.Write(v, tx.Read(v)+delta)
-		return
-	}
 	tx.stats.Incs++
 	tx.writes.PutInc(v, delta)
 }
@@ -492,10 +478,28 @@ func (tx *Tx) acquireWriteLocks() {
 // Commit publishes the transaction (Algorithm 7 lines 66–77). Read-only
 // transactions — and in S-TL2, compare-only transactions — commit
 // immediately with zero clock traffic: every read and comparison was already
-// validated against the start version.
-//
-// Writers lock their orecs, then advance the clock by one of two schemes
-// (DESIGN.md §8):
+// validated against the start version. Writers run the two-phase pieces back
+// to back: lock the orecs (Prepare), certify the clock advance (certify, the
+// heart of Validate), write back (Publish).
+func (tx *Tx) Commit() {
+	if tx.fp != nil {
+		tx.fp.Step(core.SiteCommit)
+	}
+	if tx.writes.Len() == 0 {
+		tx.finishCommit(tx.startVersion)
+		return
+	}
+	tx.acquireWriteLocks()
+	if tx.fp != nil {
+		tx.fp.CommitDelay() // stretch the window with the orecs held
+	}
+	wv := tx.certify()
+	tx.writeBack(wv)
+	tx.finishCommit(wv)
+}
+
+// certify advances the clock for a writer holding its orec locks and
+// returns the write version, by one of two schemes (DESIGN.md §8):
 //
 //   - No semantic facts recorded (baseline TL2, or an S-TL2 transaction
 //     whose compare-set stayed empty): plain fetch-and-add, TL2's original
@@ -517,28 +521,14 @@ func (tx *Tx) acquireWriteLocks() {
 //
 // Read-set validation is skipped only when no other writer committed since
 // the snapshot.
-func (tx *Tx) Commit() {
-	if tx.fp != nil {
-		tx.fp.Step(core.SiteCommit)
-	}
-	if tx.writes.Len() == 0 {
-		tx.lastW = tx.startVersion
-		tx.slot.Clear()
-		return
-	}
-	tx.acquireWriteLocks()
-	if tx.fp != nil {
-		tx.fp.CommitDelay() // stretch the window with the orecs held
-	}
-	if !tx.semantic || tx.compares.Len() == 0 {
+func (tx *Tx) certify() uint64 {
+	if tx.compares.Len() == 0 {
 		// Contention-free scheme: one atomic add, no retries possible.
 		wv := tx.g.clock.Add(1)
 		if wv != tx.startVersion+1 {
 			tx.validateReadSet()
 		}
-		tx.writeBack(wv)
-		tx.finishCommit(wv)
-		return
+		return wv
 	}
 	time := tx.g.clock.Load()
 	for {
@@ -549,9 +539,7 @@ func (tx *Tx) Commit() {
 			if tx.startVersion != time {
 				tx.validateReadSet()
 			}
-			tx.writeBack(time + 1)
-			tx.finishCommit(time + 1)
-			return
+			return time + 1
 		}
 		// A concurrent commit advanced the clock: adopt the newer timestamp
 		// and revalidate against it rather than retrying the stale CAS.
@@ -618,9 +606,9 @@ func (tx *Tx) Prepare() {
 
 // Validate re-certifies this instance's snapshot for a two-phase commit.
 //
-// A writer participant (Prepare acquired locks) runs the certification of
-// Commit — read-set validation and, with semantic facts, the CAS-certified
-// clock advance — and reserves its write version in tx.wv, so Publish is
+// A writer participant (Prepare acquired locks) runs certify — read-set
+// validation and, with semantic facts, the CAS-certified clock advance —
+// and reserves its write version in tx.wv, so Publish is
 // left with only the infallible write-back. Advancing the per-shard clock
 // here, before the global linearization ticket, is harmless on abort: a
 // clock tick with no write-back only causes spurious revalidations.
@@ -631,35 +619,14 @@ func (tx *Tx) Prepare() {
 // moved since the snapshot the whole check is skipped.
 func (tx *Tx) Validate() {
 	if len(tx.held) != 0 {
-		if !tx.semantic || tx.compares.Len() == 0 {
-			wv := tx.g.clock.Add(1)
-			if wv != tx.startVersion+1 {
-				tx.validateReadSet()
-			}
-			tx.wv = wv
-			return
-		}
-		time := tx.g.clock.Load()
-		for {
-			if tx.startVersion != time {
-				tx.validateCompareSet()
-			}
-			if tx.g.clock.CompareAndSwap(time, time+1) {
-				if tx.startVersion != time {
-					tx.validateReadSet()
-				}
-				tx.wv = time + 1
-				return
-			}
-			tx.stats.ClockAdopts++
-			time = tx.g.clock.Load()
-		}
+		tx.wv = tx.certify()
+		return
 	}
 	if tx.g.clock.Load() == tx.startVersion {
 		return
 	}
 	tx.validateReadSet()
-	if tx.semantic && tx.compares.Len() != 0 {
+	if tx.compares.Len() != 0 {
 		tx.validateCompareSet()
 	}
 }

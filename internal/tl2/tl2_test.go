@@ -7,11 +7,21 @@ import (
 	"semstm/internal/txtest"
 )
 
+// newTx builds an S-TL2 descriptor, or — when semantic is false — the TL2
+// baseline: the same descriptor behind core.Baseline, exactly as the stm
+// facade binds the registered TL2 engine.
+func newTx(g *Global, semantic bool) core.TxImpl {
+	if semantic {
+		return NewTx(g)
+	}
+	return core.Baseline{TxImpl: NewTx(g)}
+}
+
 func TestCommitVisibility(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		v := core.NewVar(1)
-		tx := NewTx(g, semantic)
+		tx := newTx(g, semantic)
 		if !txtest.MustCommit(tx, func() {
 			if got := tx.Read(v); got != 1 {
 				t.Fatalf("Read = %d", got)
@@ -29,7 +39,7 @@ func TestCommitVisibility(t *testing.T) {
 func TestClockAdvancesPerWriterCommit(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(0)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	for i := 0; i < 4; i++ {
 		txtest.MustCommit(tx, func() { tx.Write(v, int64(i)) })
 	}
@@ -48,7 +58,7 @@ func TestReadYourOwnWrite(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		v := core.NewVar(1)
-		tx := NewTx(g, semantic)
+		tx := newTx(g, semantic)
 		txtest.MustCommit(tx, func() {
 			tx.Write(v, 7)
 			if got := tx.Read(v); got != 7 {
@@ -64,8 +74,8 @@ func TestReadYourOwnWrite(t *testing.T) {
 func TestStaleReadAborts(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start() // start version 0
 	txtest.MustCommit(t2, func() { t2.Write(v, 9) })
@@ -82,8 +92,8 @@ func TestPaperAlgorithm1(t *testing.T) {
 		g := NewGlobal()
 		x, y := core.NewVar(5), core.NewVar(5)
 		z = core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		if !txtest.Step(t1, func() {
@@ -116,8 +126,8 @@ func TestPaperAlgorithm1(t *testing.T) {
 func TestPhase1SnapshotExtension(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(5), core.NewVar(5)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	if sv := t1.StartVersion(); sv != 0 {
@@ -153,8 +163,8 @@ func TestPhase1SnapshotExtension(t *testing.T) {
 func TestPhase1ExtensionFailsWhenFactBroken(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(5), core.NewVar(5)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	_ = t1.Cmp(x, core.OpGT, 0)
@@ -174,8 +184,8 @@ func TestPhase1ExtensionFailsWhenFactBroken(t *testing.T) {
 func TestPhase2CmpIsConservative(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(5), core.NewVar(5)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	_ = t1.Read(x) // leaves phase 1
@@ -197,8 +207,8 @@ func TestPhase2CmpIsConservative(t *testing.T) {
 func TestPaperAlgorithm8(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	if !t1.Cmp(x, core.OpGTE, 0) {
@@ -218,8 +228,8 @@ func TestPaperAlgorithm8(t *testing.T) {
 func TestPaperAlgorithm9(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(0), core.NewVar(0)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	_ = t1.Read(y)
@@ -239,8 +249,8 @@ func TestCmpVarsSurvivesDualUpdate(t *testing.T) {
 	run := func(semantic bool) bool {
 		g := NewGlobal()
 		head, tail, z := core.NewVar(2), core.NewVar(5), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		var empty bool
@@ -269,8 +279,8 @@ func TestCmpVarsSurvivesDualUpdate(t *testing.T) {
 func TestCmpVarsPhase1Extension(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(1), core.NewVar(2)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	txtest.MustCommit(t2, func() {
@@ -295,8 +305,8 @@ func TestCmpVarsPhase1Extension(t *testing.T) {
 func TestIncConcurrencyWin(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(100)
-	t1 := NewTx(g, true)
-	t2 := NewTx(g, true)
+	t1 := NewTx(g)
+	t2 := NewTx(g)
 
 	t1.Start()
 	t1.Inc(v, 1)
@@ -313,8 +323,8 @@ func TestIncConcurrencyWin(t *testing.T) {
 func TestIncBaselineAborts(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(100)
-	t1 := NewTx(g, false)
-	t2 := NewTx(g, false)
+	t1 := core.Baseline{TxImpl: NewTx(g)}
+	t2 := core.Baseline{TxImpl: NewTx(g)}
 
 	t1.Start()
 	t1.Inc(v, 1)
@@ -332,8 +342,8 @@ func TestWriteSkewSecondCommitterAborts(t *testing.T) {
 	for _, semantic := range []bool{false, true} {
 		g := NewGlobal()
 		x, y := core.NewVar(0), core.NewVar(0)
-		t1 := NewTx(g, semantic)
-		t2 := NewTx(g, semantic)
+		t1 := newTx(g, semantic)
+		t2 := newTx(g, semantic)
 
 		t1.Start()
 		t2.Start()
@@ -352,7 +362,7 @@ func TestWriteSkewSecondCommitterAborts(t *testing.T) {
 
 		// The aborted commit must have released its locks: a fresh
 		// transaction can write both variables.
-		t3 := NewTx(g, semantic)
+		t3 := newTx(g, semantic)
 		if !txtest.MustCommit(t3, func() {
 			t3.Write(x, 7)
 			t3.Write(y, 7)
@@ -368,7 +378,7 @@ func TestWriteSkewSecondCommitterAborts(t *testing.T) {
 func TestCompareSetSeparateFromReadSet(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(1), core.NewVar(2)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	txtest.MustCommit(tx, func() {
 		_ = tx.Cmp(x, core.OpGT, 0)
 		_ = tx.Read(y)
@@ -382,7 +392,7 @@ func TestCompareSetSeparateFromReadSet(t *testing.T) {
 func TestDelegationStats(t *testing.T) {
 	g := NewGlobal()
 	v := core.NewVar(5)
-	base := NewTx(g, false)
+	base := core.Baseline{TxImpl: NewTx(g)}
 	txtest.MustCommit(base, func() {
 		_ = base.Cmp(v, core.OpGT, 0)
 		base.Inc(v, 1)
@@ -399,7 +409,7 @@ func TestDelegationStats(t *testing.T) {
 func TestCommitSkipsReadValidationWhenQuiescent(t *testing.T) {
 	g := NewGlobal()
 	x, y := core.NewVar(0), core.NewVar(0)
-	tx := NewTx(g, true)
+	tx := NewTx(g)
 	if !txtest.MustCommit(tx, func() {
 		_ = tx.Read(x)
 		tx.Write(y, 1)

@@ -204,6 +204,14 @@ func syncDir(dir string) error {
 // latched error if the log has failed or crashed.
 func (l *Log) Append(crossID uint64, parts []int, recs []Record) error {
 	l.mu.Lock()
+	if site, dead := l.opt.Plan.CrashedAt(); dead && l.err == nil {
+		// The simulated process died — on another shard's log, or at the
+		// commit pipeline's post-fsync point. Nothing later may reach any
+		// log: the dying commit's locks are released so the test process
+		// stays usable, and a straggler that then read its unpublished
+		// pre-state must not log absolute writes after its frame.
+		l.err = &CrashedError{Site: site}
+	}
 	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()

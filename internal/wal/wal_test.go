@@ -394,6 +394,35 @@ func TestCrashPreFsync(t *testing.T) {
 	}
 }
 
+// TestCrashFreezesEveryLog: a crash that fires outside a log — at the commit
+// pipeline's post-fsync point — is still process death, so every shard's log
+// refuses later appends, and recovery sees only what was logged before it.
+func TestCrashFreezesEveryLog(t *testing.T) {
+	dir := t.TempDir()
+	plan := core.NewFaultPlan(1).WithCrash(core.CrashPostFsyncPrePublish, 1)
+	s := openT(t, dir, 2, Options{Policy: SyncAlways, Plan: plan})
+	if err := s.LogSingle(1, []Record{{Op: OpWrite, Key: 60, Val: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if !plan.CrashHit(core.CrashPostFsyncPrePublish) {
+		t.Fatal("armed crash did not fire")
+	}
+	for shard := 0; shard < 2; shard++ {
+		err := s.LogSingle(shard, []Record{{Op: OpWrite, Key: 60, Val: 2}})
+		var ce *CrashedError
+		if !errors.As(err, &ce) || ce.Site != core.CrashPostFsyncPrePublish {
+			t.Fatalf("shard %d: append after the crash returned %v", shard, err)
+		}
+	}
+	rs, err := Recover(dir)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := rs.Resolve(60, 0); got != 1 {
+		t.Fatalf("key 60: got %d, want the pre-crash 1", got)
+	}
+}
+
 // TestInjectedFailureLatches checks the degrade hook: after InjectFailure
 // every append returns the latched error.
 func TestInjectedFailureLatches(t *testing.T) {

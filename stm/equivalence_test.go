@@ -10,7 +10,7 @@ import (
 )
 
 // TestAlgorithmsAgreeSequentially runs identical randomized single-threaded
-// scripts — covering every API operation — on all nine algorithms and
+// scripts — covering every API operation — on every registered engine and
 // requires bit-identical observations and final memory. Any divergence in
 // delegation, promotion, write-set merging, or expression handling shows up
 // as a mismatch against the first algorithm's trace.
@@ -101,7 +101,7 @@ func TestAlgorithmsAgreeSequentially(t *testing.T) {
 // variables, so nearly every barrier resolves against a non-empty write-set
 // — entry kinds flip Inc→Write via promotion, deltas accumulate over written
 // values, and reads must observe the merged entry bit-for-bit identically on
-// all nine algorithms.
+// every registered engine.
 func TestAlgorithmsAgreeRAWHeavy(t *testing.T) {
 	const (
 		vars    = 8
