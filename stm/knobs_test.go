@@ -146,6 +146,42 @@ func TestConfigureHTMThroughRuntime(t *testing.T) {
 	}
 }
 
+// TestConfigureHTMZeroCapacity pins what a capacity of zero means: the
+// hardware fits no location, so every hardware attempt fails with a capacity
+// abort. Classic HTM spends its retry budget and falls back to the lock; the
+// progressive engines demote straight down to the unbounded software path.
+func TestConfigureHTMZeroCapacity(t *testing.T) {
+	const retries = 2
+	for _, tc := range []struct {
+		algo      stm.Algorithm
+		reason    stm.AbortReason
+		hwAborts  uint64
+		fallbacks uint64
+	}{
+		{stm.HTM, stm.AbortCapacity, retries + 1, 1},
+		{stm.SHTM, stm.AbortCapacity, retries + 1, 1},
+		{stm.HyTM, stm.AbortHWCapacity, 2, 0},    // fast, then middle
+		{stm.HyTMMid, stm.AbortHWCapacity, 1, 0}, // middle only
+	} {
+		rt := stm.New(tc.algo)
+		rt.ConfigureHTM(0, retries, 0)
+		x := stm.NewVar(1)
+		rt.Atomically(func(tx *stm.Tx) { tx.Write(x, tx.Read(x)+1) })
+		if x.Load() != 2 {
+			t.Fatalf("%v: x = %d, want 2", tc.algo, x.Load())
+		}
+		fallbacks, hwAborts := rt.HTMStats()
+		if hwAborts != tc.hwAborts || fallbacks != tc.fallbacks {
+			t.Fatalf("%v: hwAborts = %d fallbacks = %d, want %d and %d",
+				tc.algo, hwAborts, fallbacks, tc.hwAborts, tc.fallbacks)
+		}
+		if sn := rt.Stats(); sn.Aborts != tc.hwAborts || sn.AbortReasons[tc.reason] != tc.hwAborts {
+			t.Fatalf("%v: aborts = %d (%v), want %d capacity aborts",
+				tc.algo, sn.Aborts, sn.AbortReasons, tc.hwAborts)
+		}
+	}
+}
+
 // TestExpressionAPIAcrossAlgorithms: CmpSum/CmpAny agree with the classical
 // evaluation on every algorithm (native or delegated).
 func TestExpressionAPIAcrossAlgorithms(t *testing.T) {
