@@ -13,6 +13,7 @@ package semstm
 
 import (
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -21,6 +22,10 @@ import (
 	"semstm/internal/stamp"
 	"semstm/stm"
 )
+
+// benchParallelism multiplies GOMAXPROCS to keep real transaction
+// concurrency even on small machines.
+const benchParallelism = 4
 
 // runAblation drives a workload builder over a pre-configured runtime.
 func runAblation(b *testing.B, rt *stm.Runtime, w harness.Workload) {
@@ -107,7 +112,7 @@ func BenchmarkAblationBackoff(b *testing.B) {
 func BenchmarkAblationHTMCapacity(b *testing.B) {
 	for _, capacity := range []int{12, 24, 48} {
 		for _, algo := range []stm.Algorithm{stm.HTM, stm.SHTM} {
-			b.Run(algo.String()+"/cap="+itoa(capacity), func(b *testing.B) {
+			b.Run(algo.String()+"/cap="+strconv.Itoa(capacity), func(b *testing.B) {
 				rt := stm.New(algo)
 				rt.ConfigureHTM(capacity, 4, 0)
 				rt.SetYieldEvery(4)
@@ -121,18 +126,4 @@ func BenchmarkAblationHTMCapacity(b *testing.B) {
 			})
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -9,5 +9,5 @@
 //
 // Start with package semstm/stm for the library API, cmd/semstm-bench for
 // the experiments, and cmd/tmc for the compiler. The repository-level
-// benchmarks in bench_test.go mirror the experiment registry.
+// benchmarks in ablation_bench_test.go time the ablations no experiment runs.
 package semstm

@@ -3,9 +3,9 @@ package core
 // Reason classifies why a transaction attempt aborted. The taxonomy follows
 // the failure modes of the implemented algorithm families: value/version
 // validation failures, semantic fact flips, lock-acquisition give-ups,
-// capacity-style resource exhaustion (HTM buffers, ring wrap), spurious
-// failures (simulated hardware events and injected faults), and explicit
-// user restarts. The runtime threads the reason of every abort into the
+// capacity-style resource exhaustion (HTM buffers), spurious failures
+// (simulated hardware events and injected faults), and explicit user
+// restarts. The runtime threads the reason of every abort into the
 // aggregate statistics and into the typed errors of the bounded execution
 // APIs, so a livelocked workload can be diagnosed from counters instead of
 // guesswork.
@@ -23,8 +23,7 @@ const (
 	// ReasonOrecLocked: the transaction gave up waiting for an ownership
 	// record held by another transaction (bounded-spin timeout).
 	ReasonOrecLocked
-	// ReasonCapacity: a bounded resource ran out — simulated HTM tracking
-	// capacity, or a RingSTM transaction falling off the ring.
+	// ReasonCapacity: simulated HTM tracking capacity ran out.
 	ReasonCapacity
 	// ReasonSpurious: a failure with no logical conflict — the simulated
 	// HTM's spurious commit failures, or an injected FaultPlan abort.

@@ -8,17 +8,14 @@ import (
 
 // EngineID identifies one registered STM engine. The public stm.Algorithm
 // type is an alias of EngineID, so the same values select engines at the
-// facade and index the registry here. IDs are stable across releases: the
-// committed BENCH_*.json baselines and the CLI flags refer to engines by the
-// names registered under these IDs.
+// facade and index the registry here. IDs are array indices only and are
+// never persisted: reports and the CLI refer to engines by name and the WAL
+// manifest records no engine, so the numbering may change between releases.
 type EngineID int
 
-// The registered engine identifiers. The first nine preserve the numeric
-// values of the pre-registry stm.Algorithm constants; EngineAdaptive is the
-// composite policy engine that switches between concrete engines online.
-// The progressive HyTM pair is appended after it — numeric values only ever
-// grow, since the committed BENCH_*.json baselines refer to engines by name
-// but the IDs index fixed-size arrays throughout the runtime.
+// The registered engine identifiers. EngineAdaptive is the composite policy
+// engine that switches between concrete engines online; the IDs index the
+// runtime's fixed-size [NumEngines] engine array.
 const (
 	EngineNOrec EngineID = iota
 	EngineSNOrec
@@ -27,8 +24,6 @@ const (
 	EngineSGL
 	EngineHTM
 	EngineSHTM
-	EngineRing
-	EngineSRing
 	EngineAdaptive
 	// EngineHyTM is the progressive hybrid engine (DESIGN.md §13): an
 	// uninstrumented hardware fast path, an instrumented hardware middle
@@ -71,7 +66,7 @@ type TxConfig struct {
 }
 
 // Engine is one instantiated STM engine: the algorithm's shared global
-// metadata (sequence lock, version clock, orec table, ring) behind a uniform
+// metadata (sequence lock, version clock, orec table) behind a uniform
 // constructor-and-health interface. A Runtime owns one Engine per concrete
 // algorithm it runs; independent Engine instances do not synchronize with
 // each other.

@@ -29,8 +29,7 @@ type WriteEntry struct {
 //   - inc after write/inc: accumulate the delta, keep the entry's kind.
 //
 // The representation is built for the barrier hot path, mirroring how native
-// STMs filter write-sets with hash signatures (NOrec's value-based filter,
-// RingSTM's Bloom signatures):
+// STMs filter write-sets with hash signatures:
 //
 //   - sig is a 64-bit Bloom signature over the IDs of buffered variables.
 //     A read barrier whose variable is not covered by the signature — the

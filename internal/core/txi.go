@@ -1,7 +1,7 @@
 package core
 
 // TxImpl is the algorithm-facing transaction interface. Each engine family
-// (NOrec, TL2, RingSTM, the simulated HTMs, single-global-lock) provides a
+// (NOrec, TL2, the simulated HTMs, single-global-lock) provides a
 // concrete implementation; the public stm package wraps a TxImpl in a
 // user-facing Tx. Engines implement the semantic primitives natively; the
 // non-semantic baselines reach them only through Baseline.

@@ -6,8 +6,8 @@ import (
 )
 
 // Waiter is the adaptive waiter shared by every bounded wait loop on the
-// commit path (orec write locks, the NOrec/HTM sequence lock, RingSTM
-// write-back publication). It escalates through three tiers:
+// commit path (orec write locks, the NOrec/HTM sequence lock). It escalates
+// through three tiers:
 //
 //  1. a short exponential busy-spin — when the owner is running on another
 //     core, commit-time holds last tens of nanoseconds and spinning wins;

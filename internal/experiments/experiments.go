@@ -112,7 +112,6 @@ func All() []Experiment {
 		{ID: "fig2a", Panels: "Figure 2a/2b", Title: "Hashtable via GCC (TxC-compiled) — throughput and aborts", Run: runGCCHashtable},
 		{ID: "fig2c", Panels: "Figure 2c/2d", Title: "Vacation via GCC (TxC-compiled) — execution time and aborts", Run: runGCCVacation},
 		{ID: "table3", Panels: "Table 3", Title: "Average operations per transaction, base vs semantic", Run: runTable3},
-		{ID: "ext-ring", Panels: "extension", Title: "RingSTM vs S-RingSTM (signature-based validation, beyond the paper)", Run: runExtRing},
 		{ID: "ext-htm", Panels: "extension", Title: "HTM vs S-HTM (simulated best-effort hardware, the paper's future work)", Run: runExtHTM},
 	}
 }
@@ -325,35 +324,6 @@ func runGCCVacation(cfg Config) (string, error) {
 		return "", err
 	}
 	return s.FormatTime() + "\n" + s.FormatAborts(), nil
-}
-
-// runExtRing contrasts classic signature-based RingSTM with its semantic
-// extension on the hashtable and bank workloads: Bloom false positives and
-// benign value changes both stop aborting readers.
-func runExtRing(cfg Config) (string, error) {
-	algos := []stm.Algorithm{stm.Ring, stm.SRing}
-	out := ""
-	for _, wl := range []struct {
-		title string
-		build harness.Builder
-	}{
-		{"Extension — Hashtable on RingSTM", func(rt *stm.Runtime) harness.Workload { return apps.NewHashtable(rt, 2048) }},
-		{"Extension — Bank on RingSTM", func(rt *stm.Runtime) harness.Workload { return apps.NewBank(rt, 1024, 1000) }},
-	} {
-		s, err := harness.Sweep(wl.title, wl.build, harness.SweepConfig{
-			Algorithms: algos,
-			Threads:    cfg.threads([]int{2, 4, 8}),
-			Timed:      true,
-			Duration:   cfg.duration(),
-			YieldEvery: cfg.yieldEvery(),
-			GOMAXPROCS: cfg.GOMAXPROCS,
-		})
-		if err != nil {
-			return "", err
-		}
-		out += s.FormatThroughput() + "\n" + s.FormatAborts() + "\n"
-	}
-	return out, nil
 }
 
 // runExtHTM contrasts the simulated best-effort hardware TM with its

@@ -25,10 +25,10 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	// One experiment per figure pair plus Table 3 plus the two extensions:
-	// 8 RSTM panels + 2 GCC panels + table3 + ext-ring + ext-htm.
-	if len(ids) != 13 {
-		t.Fatalf("registry holds %d experiments, want 13", len(ids))
+	// One experiment per figure pair plus Table 3 plus the extension:
+	// 8 RSTM panels + 2 GCC panels + table3 + ext-htm.
+	if len(ids) != 12 {
+		t.Fatalf("registry holds %d experiments, want 12", len(ids))
 	}
 }
 
@@ -120,20 +120,13 @@ func TestGCCExperimentsRun(t *testing.T) {
 }
 
 func TestExtensionExperimentsRun(t *testing.T) {
-	for _, id := range []string{"ext-ring", "ext-htm"} {
-		e, _ := Find(id)
-		out, err := e.Run(tinyCfg)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(out) == 0 {
-			t.Fatalf("%s: empty report", id)
-		}
+	e, _ := Find("ext-htm")
+	out, err := e.Run(tinyCfg)
+	if err != nil {
+		t.Fatalf("ext-htm: %v", err)
 	}
-	e, _ := Find("ext-ring")
-	out, _ := e.Run(tinyCfg)
-	if !strings.Contains(out, "S-RingSTM") {
-		t.Fatalf("ext-ring missing column:\n%s", out)
+	if !strings.Contains(out, "S-HTM") {
+		t.Fatalf("ext-htm missing column:\n%s", out)
 	}
 }
 

@@ -51,50 +51,42 @@ func (c goldenCell) String() string {
 // off). A change to an engine that moves any count changed what the engine
 // does, not how fast it does it.
 var table3Golden = map[string]goldenCell{
-	"NOrec/Hashtable":     {Commits: 400, Aborts: 0, Reads: 21424, Writes: 1651, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"NOrec/Bank":          {Commits: 400, Aborts: 0, Reads: 6531, Writes: 4354, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"NOrec/LRU":           {Commits: 400, Aborts: 0, Reads: 14397, Writes: 683, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"NOrec/Kmeans":        {Commits: 800, Aborts: 0, Reads: 7200, Writes: 7200, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-NOrec/Hashtable":   {Commits: 400, Aborts: 0, Reads: 0, Writes: 527, Compares: 20300, Incs: 1124, Promotes: 4, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-NOrec/Bank":        {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-NOrec/LRU":         {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-NOrec/Kmeans":      {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"TL2/Hashtable":       {Commits: 400, Aborts: 0, Reads: 21424, Writes: 1651, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"TL2/Bank":            {Commits: 400, Aborts: 0, Reads: 6531, Writes: 4354, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"TL2/LRU":             {Commits: 400, Aborts: 0, Reads: 14397, Writes: 683, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"TL2/Kmeans":          {Commits: 800, Aborts: 0, Reads: 7200, Writes: 7200, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-TL2/Hashtable":     {Commits: 400, Aborts: 0, Reads: 0, Writes: 527, Compares: 20300, Incs: 1124, Promotes: 4, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-TL2/Bank":          {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-TL2/LRU":           {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-TL2/Kmeans":        {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"RingSTM/Hashtable":   {Commits: 400, Aborts: 0, Reads: 21424, Writes: 1651, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"RingSTM/Bank":        {Commits: 400, Aborts: 0, Reads: 6531, Writes: 4354, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"RingSTM/LRU":         {Commits: 400, Aborts: 0, Reads: 14397, Writes: 683, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"RingSTM/Kmeans":      {Commits: 800, Aborts: 0, Reads: 7200, Writes: 7200, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-RingSTM/Hashtable": {Commits: 400, Aborts: 0, Reads: 0, Writes: 527, Compares: 20300, Incs: 1124, Promotes: 4, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-RingSTM/Bank":      {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-RingSTM/LRU":       {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-RingSTM/Kmeans":    {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"SGL/Hashtable":       {Commits: 400, Aborts: 0, Reads: 0, Writes: 527, Compares: 20300, Incs: 1124, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"SGL/Bank":            {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"SGL/LRU":             {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"SGL/Kmeans":          {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"HTM/Hashtable":       {Commits: 400, Aborts: 470, Reads: 50569, Writes: 3076, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: map[string]uint64{"capacity": 470}},
-	"HTM/Bank":            {Commits: 400, Aborts: 0, Reads: 6531, Writes: 4354, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"HTM/LRU":             {Commits: 400, Aborts: 0, Reads: 14397, Writes: 683, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"HTM/Kmeans":          {Commits: 800, Aborts: 0, Reads: 7200, Writes: 7200, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-HTM/Hashtable":     {Commits: 400, Aborts: 415, Reads: 0, Writes: 947, Compares: 46035, Incs: 1954, Promotes: 11, HWFast: 0, HWMiddle: 0, Reasons: map[string]uint64{"capacity": 415}},
-	"S-HTM/Bank":          {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-HTM/LRU":           {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"S-HTM/Kmeans":        {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
-	"HyTM/Hashtable":      {Commits: 400, Aborts: 54, Reads: 19805, Writes: 575, Compares: 4661, Incs: 1254, Promotes: 8, HWFast: 373, HWMiddle: 0, Reasons: map[string]uint64{"hw-capacity": 54}},
-	"HyTM/Bank":           {Commits: 400, Aborts: 0, Reads: 2177, Writes: 0, Compares: 0, Incs: 4354, Promotes: 15, HWFast: 400, HWMiddle: 0, Reasons: nil},
-	"HyTM/LRU":            {Commits: 400, Aborts: 0, Reads: 14268, Writes: 554, Compares: 0, Incs: 129, Promotes: 0, HWFast: 400, HWMiddle: 0, Reasons: nil},
-	"HyTM/Kmeans":         {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 800, HWMiddle: 0, Reasons: nil},
-	"HyTM-mid/Hashtable":  {Commits: 400, Aborts: 83, Reads: 0, Writes: 611, Compares: 25447, Incs: 1290, Promotes: 6, HWFast: 0, HWMiddle: 317, Reasons: map[string]uint64{"hw-capacity": 83}},
-	"HyTM-mid/Bank":       {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 400, Reasons: nil},
-	"HyTM-mid/LRU":        {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 400, Reasons: nil},
-	"HyTM-mid/Kmeans":     {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 800, Reasons: nil},
+	"NOrec/Hashtable":    {Commits: 400, Aborts: 0, Reads: 21424, Writes: 1651, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"NOrec/Bank":         {Commits: 400, Aborts: 0, Reads: 6531, Writes: 4354, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"NOrec/LRU":          {Commits: 400, Aborts: 0, Reads: 14397, Writes: 683, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"NOrec/Kmeans":       {Commits: 800, Aborts: 0, Reads: 7200, Writes: 7200, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-NOrec/Hashtable":  {Commits: 400, Aborts: 0, Reads: 0, Writes: 527, Compares: 20300, Incs: 1124, Promotes: 4, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-NOrec/Bank":       {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-NOrec/LRU":        {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-NOrec/Kmeans":     {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"TL2/Hashtable":      {Commits: 400, Aborts: 0, Reads: 21424, Writes: 1651, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"TL2/Bank":           {Commits: 400, Aborts: 0, Reads: 6531, Writes: 4354, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"TL2/LRU":            {Commits: 400, Aborts: 0, Reads: 14397, Writes: 683, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"TL2/Kmeans":         {Commits: 800, Aborts: 0, Reads: 7200, Writes: 7200, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-TL2/Hashtable":    {Commits: 400, Aborts: 0, Reads: 0, Writes: 527, Compares: 20300, Incs: 1124, Promotes: 4, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-TL2/Bank":         {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-TL2/LRU":          {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-TL2/Kmeans":       {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"SGL/Hashtable":      {Commits: 400, Aborts: 0, Reads: 0, Writes: 527, Compares: 20300, Incs: 1124, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"SGL/Bank":           {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"SGL/LRU":            {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"SGL/Kmeans":         {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"HTM/Hashtable":      {Commits: 400, Aborts: 470, Reads: 50569, Writes: 3076, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: map[string]uint64{"capacity": 470}},
+	"HTM/Bank":           {Commits: 400, Aborts: 0, Reads: 6531, Writes: 4354, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"HTM/LRU":            {Commits: 400, Aborts: 0, Reads: 14397, Writes: 683, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"HTM/Kmeans":         {Commits: 800, Aborts: 0, Reads: 7200, Writes: 7200, Compares: 0, Incs: 0, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-HTM/Hashtable":    {Commits: 400, Aborts: 415, Reads: 0, Writes: 947, Compares: 46035, Incs: 1954, Promotes: 11, HWFast: 0, HWMiddle: 0, Reasons: map[string]uint64{"capacity": 415}},
+	"S-HTM/Bank":         {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-HTM/LRU":          {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"S-HTM/Kmeans":       {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 0, Reasons: nil},
+	"HyTM/Hashtable":     {Commits: 400, Aborts: 54, Reads: 19805, Writes: 575, Compares: 4661, Incs: 1254, Promotes: 8, HWFast: 373, HWMiddle: 0, Reasons: map[string]uint64{"hw-capacity": 54}},
+	"HyTM/Bank":          {Commits: 400, Aborts: 0, Reads: 2177, Writes: 0, Compares: 0, Incs: 4354, Promotes: 15, HWFast: 400, HWMiddle: 0, Reasons: nil},
+	"HyTM/LRU":           {Commits: 400, Aborts: 0, Reads: 14268, Writes: 554, Compares: 0, Incs: 129, Promotes: 0, HWFast: 400, HWMiddle: 0, Reasons: nil},
+	"HyTM/Kmeans":        {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 800, HWMiddle: 0, Reasons: nil},
+	"HyTM-mid/Hashtable": {Commits: 400, Aborts: 83, Reads: 0, Writes: 611, Compares: 25447, Incs: 1290, Promotes: 6, HWFast: 0, HWMiddle: 317, Reasons: map[string]uint64{"hw-capacity": 83}},
+	"HyTM-mid/Bank":      {Commits: 400, Aborts: 0, Reads: 0, Writes: 0, Compares: 2177, Incs: 4354, Promotes: 15, HWFast: 0, HWMiddle: 400, Reasons: nil},
+	"HyTM-mid/LRU":       {Commits: 400, Aborts: 0, Reads: 2216, Writes: 554, Compares: 12052, Incs: 129, Promotes: 0, HWFast: 0, HWMiddle: 400, Reasons: nil},
+	"HyTM-mid/Kmeans":    {Commits: 800, Aborts: 0, Reads: 0, Writes: 0, Compares: 0, Incs: 7200, Promotes: 0, HWFast: 0, HWMiddle: 800, Reasons: nil},
 }
 
 // TestTable3Golden is the oracle for refactors of the engine packages: every

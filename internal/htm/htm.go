@@ -68,8 +68,8 @@ const (
 	// sigWords x 64 = 4096 read-signature bits, sized for the simulated
 	// capacity bound: a fast-path attempt may track up to Capacity locations
 	// at two bits each while keeping the membership false-positive rate per
-	// recorded write around 0.1% (the sizing argument RingSTM makes for its
-	// filters, adapted to membership tests).
+	// recorded write around 0.1% (the sizing argument signature-based STMs
+	// make for their filters, adapted to membership tests).
 	sigWords = 64
 	sigBits  = sigWords * 64
 	// sigCap is the largest write-set recorded exactly; a wider commit (or

@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"semstm/internal/core"
-	_ "semstm/internal/norec"   // register the NOrec descriptors
-	_ "semstm/internal/ringstm" // register the Ring descriptors
-	_ "semstm/internal/sgl"     // register the SGL descriptor
+	_ "semstm/internal/htm"   // register the HTM descriptors
+	_ "semstm/internal/norec" // register the NOrec descriptors
+	_ "semstm/internal/sgl"   // register the SGL descriptor
 )
 
 // desc fetches a registered engine descriptor by ID.
@@ -41,9 +41,9 @@ func TestNewEngineRejectsUnshardable(t *testing.T) {
 	mustPanic(t, "NewEngine(composite, 2)", func() {
 		NewEngine(core.EngineDesc{Name: "Adaptive", Composite: true}, 2)
 	})
-	// RingSTM is revocable but has no TwoPhase decomposition — no way to hold
-	// phase-1 locks across instances, so it cannot be sharded.
-	mustPanic(t, "NewEngine(Ring, 2)", func() { NewEngine(desc(t, core.EngineRing), 2) })
+	// Classic HTM is revocable but has no TwoPhase decomposition — no way to
+	// hold phase-1 locks across instances, so it cannot be sharded.
+	mustPanic(t, "NewEngine(HTM, 2)", func() { NewEngine(desc(t, core.EngineHTM), 2) })
 }
 
 // TestIrrevocableDegeneratesToOneInstance asserts the SGL rule: an

@@ -28,7 +28,7 @@ go test ./...
 echo "== go vet ./... =="
 go vet ./...
 
-RACE_PKGS="./stm/... ./internal/core/... ./internal/norec/... ./internal/tl2/... ./internal/ringstm/... ./internal/htm/... ./internal/sgl/... ./internal/shard/... ./internal/wal/... ./internal/server/... ./internal/opacity/..."
+RACE_PKGS="./stm/... ./internal/core/... ./internal/norec/... ./internal/tl2/... ./internal/htm/... ./internal/sgl/... ./internal/shard/... ./internal/wal/... ./internal/server/... ./internal/opacity/..."
 
 if [ "${CHECK_LONG:-0}" = "1" ]; then
     echo "== go test -race (full chaos sweep) =="

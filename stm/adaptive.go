@@ -50,7 +50,7 @@ type AdaptiveConfig struct {
 	// re-entry is deliberately sticky.
 	MinDwell int
 	// CapacityEscalatePct is the capacity-abort percentage (HTM tracked-set
-	// or ring overflow, including the progressive engine's hw-capacity
+	// overflow, including the progressive engine's hw-capacity
 	// demotions) at or above which the policy escalates off an HTM-backed
 	// rung even when total contention sits below EscalatePct (default 10).
 	// Capacity aborts are footprint, not contention: retrying the same
@@ -183,9 +183,9 @@ func (rt *Runtime) noteAttempt(tx *Tx) {
 
 // contentionAborts counts the aborts of a snapshot window that indicate
 // data contention: failed validations, flipped semantic facts, locked
-// ownership records, and capacity overflow (ring wrap / HTM tracked-set
-// exhaustion). Spurious aborts (simulated-hardware noise and injected
-// faults) and explicit restarts are excluded — they say nothing about which
+// ownership records, and capacity overflow (HTM tracked-set exhaustion).
+// Spurious aborts (simulated-hardware noise and injected faults) and
+// explicit restarts are excluded — they say nothing about which
 // concurrency control would do better, and counting them would let a fault
 // plan or a Restart loop thrash the ladder.
 func contentionAborts(d core.Snapshot) uint64 {

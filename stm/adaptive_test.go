@@ -266,7 +266,7 @@ func TestAdaptiveManualSwitchChaos(t *testing.T) {
 	// The switch driver cycles through every concrete engine family while
 	// the workers run, then returns to the ladder head.
 	cycle := []stm.Algorithm{
-		stm.STL2, stm.Ring, stm.HTM, stm.SGL, stm.SRing, stm.SHTM,
+		stm.STL2, stm.HTM, stm.SGL, stm.SHTM,
 		stm.NOrec, stm.TL2, stm.SNOrec,
 	}
 	done := make(chan struct{})
@@ -367,11 +367,11 @@ func TestSwitchEngineErrors(t *testing.T) {
 	if got := rt.Stats().EngineSwitches; got != 0 {
 		t.Fatalf("failed switches were counted: %d", got)
 	}
-	if err := rt.SwitchEngine(stm.Ring); err != nil {
+	if err := rt.SwitchEngine(stm.TL2); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.CurrentAlgorithm(); got != stm.Ring {
-		t.Fatalf("engine = %v after SwitchEngine(Ring)", got)
+	if got := rt.CurrentAlgorithm(); got != stm.TL2 {
+		t.Fatalf("engine = %v after SwitchEngine(TL2)", got)
 	}
 	if got := rt.Stats().EngineSwitches; got != 1 {
 		t.Fatalf("EngineSwitches = %d, want 1", got)

@@ -34,8 +34,7 @@ func chaosScale(t *testing.T) (int, int) {
 // TestChaosBankConservation runs concurrent bank transfers under full fault
 // injection on every algorithm and asserts the linearizability proxy (total
 // balance conserved), completion (Atomically always commits eventually —
-// through escalation if starved), and cleanliness (no lock, orec, or ring
-// slot leaked).
+// through escalation if starved), and cleanliness (no lock or orec leaked).
 func TestChaosBankConservation(t *testing.T) {
 	forEachAlgo(t, func(t *testing.T, rt *stm.Runtime) {
 		workers, per := chaosScale(t)
@@ -324,7 +323,7 @@ func TestChaosHybridPaths(t *testing.T) {
 // per-descriptor RNG, which is deliberately decorrelated across runtimes.
 func TestChaosDeterministicReplay(t *testing.T) {
 	algos := []stm.Algorithm{
-		stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.Ring, stm.SRing, stm.SGL,
+		stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.SGL,
 	}
 	for _, a := range algos {
 		t.Run(a.String(), func(t *testing.T) {

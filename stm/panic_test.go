@@ -10,8 +10,8 @@ import (
 
 // TestUserPanicRollback verifies, for every algorithm, that a panic thrown
 // by user code inside an atomic block (not the abort sentinel) propagates to
-// the caller with the attempt rolled back: no global lock, orec, or ring
-// slot stays held, the pooled descriptor remains usable, and buffered writes
+// the caller with the attempt rolled back: no global lock or orec stays
+// held, the pooled descriptor remains usable, and buffered writes
 // are discarded (except under SGL, which writes in place by design).
 func TestUserPanicRollback(t *testing.T) {
 	type boom struct{ msg string }

@@ -65,7 +65,7 @@ func TestPoolReusePoisoningFuzz(t *testing.T) {
 	stopSwitch := make(chan struct{})
 	// Chaos switcher: cycle the runtime across concrete engines so pooled
 	// descriptors are continually rebound mid-lifecycle.
-	ladder := []stm.Algorithm{stm.NOrec, stm.TL2, stm.Ring, stm.SGL, stm.HTM, stm.SNOrec}
+	ladder := []stm.Algorithm{stm.NOrec, stm.TL2, stm.SGL, stm.HTM, stm.SNOrec}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

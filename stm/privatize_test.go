@@ -186,7 +186,7 @@ func chaosPrivatize(t *testing.T, rt *stm.Runtime, sharded bool) {
 // fences differ most: NOrec's seqlock drain, TL2's orec-version fence, and
 // plain value/version baselines.
 func TestChaosPrivatizeClassic(t *testing.T) {
-	for _, a := range []stm.Algorithm{stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.SRing, stm.SGL} {
+	for _, a := range []stm.Algorithm{stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.SGL} {
 		t.Run(a.String(), func(t *testing.T) {
 			chaosPrivatize(t, stm.New(a), false)
 		})

@@ -45,7 +45,7 @@ const (
 	AbortCmpFlip = core.ReasonCmpFlip
 	// AbortOrecLocked: gave up waiting for a locked ownership record.
 	AbortOrecLocked = core.ReasonOrecLocked
-	// AbortCapacity: HTM capacity exhausted or RingSTM ring wrap.
+	// AbortCapacity: HTM capacity exhausted.
 	AbortCapacity = core.ReasonCapacity
 	// AbortSpurious: simulated-hardware or injected spurious failure.
 	AbortSpurious = core.ReasonSpurious
@@ -391,9 +391,9 @@ func (rt *Runtime) SetEscalateAfter(n int) { rt.escalateAfter = n }
 // CheckQuiescent verifies, at a point where no transaction is in flight,
 // that the runtime's global metadata holds no leaked resources: the
 // NOrec/HTM sequence locks are free, no TL2 ownership record is left
-// locked, the newest RingSTM commit record is complete, and the SGL mutex
-// is unlocked. The chaos and panic-rollback tests call it after every run;
-// production code can use it as a health probe at quiescent points.
+// locked, and the SGL mutex is unlocked. The chaos and panic-rollback tests
+// call it after every run; production code can use it as a health probe at
+// quiescent points.
 func (rt *Runtime) CheckQuiescent() error {
 	rt.engMu.Lock()
 	defer rt.engMu.Unlock()

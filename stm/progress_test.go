@@ -138,7 +138,7 @@ func TestAtomicallyCtxCommits(t *testing.T) {
 // aborts == EscalateAfter, escalations == 1, commits == 1.
 func TestEscalationGuaranteesCommit(t *testing.T) {
 	const starve = 1000
-	for _, a := range []stm.Algorithm{stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.Ring, stm.SRing} {
+	for _, a := range []stm.Algorithm{stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2} {
 		t.Run(a.String(), func(t *testing.T) {
 			rt := stm.New(a)
 			rt.SetBackoff(stm.BackoffYield) // don't sleep through 1000 dooms

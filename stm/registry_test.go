@@ -83,8 +83,6 @@ func TestRegistryCapabilityFlags(t *testing.T) {
 		SGL:      {false, false, true, false},
 		HTM:      {false, false, false, true},
 		SHTM:     {true, true, false, true},
-		Ring:     {false, false, false, false},
-		SRing:    {true, false, false, false},
 		Adaptive: {true, false, false, false},
 		HyTM:     {true, true, false, true},
 		HyTMMid:  {true, true, false, true},

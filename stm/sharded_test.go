@@ -328,7 +328,6 @@ func TestShardedRuntimeMisuse(t *testing.T) {
 		f()
 	}
 	mustPanic("NewShardedRuntime(NOrec, 0)", func() { stm.NewShardedRuntime(stm.NOrec, 0) })
-	mustPanic("NewShardedRuntime(Ring, 4)", func() { stm.NewShardedRuntime(stm.Ring, 4) })
 	mustPanic("NewShardedRuntime(HTM, 4)", func() { stm.NewShardedRuntime(stm.HTM, 4) })
 
 	// SGL shards by degenerating to one serializing instance — allowed.

@@ -16,10 +16,9 @@
 // to one registered engine — NOrec and TL2 (the classical baselines, which
 // transparently delegate semantic calls to classical barriers), their
 // semantic extensions S-NOrec and S-TL2 (Algorithms 6 and 7 of the paper),
-// RingSTM and S-RingSTM (signature-based validation), a simulated
-// best-effort HTM pair, a single-global-lock sanity baseline — or to
-// Adaptive, which starts on one engine and switches engines online from
-// abort telemetry through a quiescent transition (see adaptive.go).
+// a simulated best-effort HTM pair, a single-global-lock sanity baseline —
+// or to Adaptive, which starts on one engine and switches engines online
+// from abort telemetry through a quiescent transition (see adaptive.go).
 //
 // Basic use:
 //
@@ -48,7 +47,6 @@ import (
 	// init time; linking them here is what makes every algorithm selectable
 	// through stm.New.
 	_ "semstm/internal/norec"
-	_ "semstm/internal/ringstm"
 	_ "semstm/internal/sgl"
 	_ "semstm/internal/tl2"
 )
@@ -122,15 +120,6 @@ const (
 	// (the paper's stated future work): facts and deferred increments
 	// shrink the tracked set, saving capacity aborts as well as conflicts.
 	SHTM = core.EngineSHTM
-	// Ring is RingSTM [SPAA 2008], the signature-based validation family:
-	// commits publish Bloom-filter write signatures on a global ring and
-	// readers abort on any signature intersection.
-	Ring = core.EngineRing
-	// SRing is S-RingSTM: the paper's methodology applied to signature
-	// validation — an intersection triggers semantic re-validation of the
-	// recorded facts instead of an unconditional abort, so Bloom false
-	// positives and benign value changes stop aborting readers.
-	SRing = core.EngineSRing
 	// Adaptive is the composite policy engine: the runtime starts on the
 	// first engine of its AdaptiveConfig ladder and switches engines online
 	// when the per-epoch abort-reason mix says a different concurrency

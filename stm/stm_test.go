@@ -260,8 +260,6 @@ func TestAlgorithmMetadata(t *testing.T) {
 		stm.SGL:      {"SGL", false},
 		stm.HTM:      {"HTM", false},
 		stm.SHTM:     {"S-HTM", true},
-		stm.Ring:     {"RingSTM", false},
-		stm.SRing:    {"S-RingSTM", true},
 		stm.Adaptive: {"Adaptive", true},
 		stm.HyTM:     {"HyTM", true},
 		stm.HyTMMid:  {"HyTM-mid", true},
@@ -274,7 +272,7 @@ func TestAlgorithmMetadata(t *testing.T) {
 			t.Errorf("%s: Semantic() = %v", a, a.Semantic())
 		}
 	}
-	if len(stm.Algorithms()) != 12 {
+	if len(stm.Algorithms()) != 10 {
 		t.Errorf("Algorithms() lists %d", len(stm.Algorithms()))
 	}
 }

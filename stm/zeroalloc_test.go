@@ -20,7 +20,7 @@ import (
 // allocation-free after warm-up.
 var zeroAllocEngines = []stm.Algorithm{
 	stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2,
-	stm.Ring, stm.SRing, stm.SGL, stm.HTM, stm.SHTM, stm.Adaptive,
+	stm.SGL, stm.HTM, stm.SHTM, stm.Adaptive,
 	stm.HyTM, stm.HyTMMid,
 }
 
