@@ -2,8 +2,6 @@ package semstm
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - read-set de-duplication (Section 4.1 discusses why the paper appends
-//     duplicates instead of scanning);
 //   - S-TL2's phase-1 snapshot extension (Algorithm 7 lines 19-25);
 //   - the contention-management backoff policy;
 //   - hardware capacity in the hybrid HTM, where the semantic build's
@@ -45,24 +43,6 @@ func runAblation(b *testing.B, rt *stm.Runtime, w harness.Workload) {
 	b.ReportMetric(sn.AbortRate(), "aborts%")
 	if err := w.Check(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkAblationReadDedup measures the duplicate-scan trade-off on the
-// probe-heavy hashtable: deduplication shrinks validation work but pays a
-// linear scan on every read.
-func BenchmarkAblationReadDedup(b *testing.B) {
-	for _, dedup := range []bool{false, true} {
-		name := "append-duplicates"
-		if dedup {
-			name = "dedup-scan"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt := stm.New(stm.SNOrec)
-			rt.SetReadDedup(dedup)
-			rt.SetYieldEvery(4)
-			runAblation(b, rt, apps.NewHashtable(rt, 2048))
-		})
 	}
 }
 

@@ -11,7 +11,11 @@
 //
 //	{"id":1,"ops":[{"op":"inc","ks":"acct","key":5,"val":2}]}
 //
-// Drive it with cmd/semstm-load.
+// Send a request with any line-oriented TCP client, e.g.
+//
+//	printf '%s\n' '{"id":1,"ops":[{"op":"read","ks":"acct","key":5}]}' | nc 127.0.0.1 7070
+//
+// and generate load with `bash bench/run.sh --workload serve-tcp`.
 package main
 
 import (

@@ -31,9 +31,6 @@ func NewBank(rt *stm.Runtime, n int, initial int64) *Bank {
 	return &Bank{rt: rt, accounts: stm.NewVars(n, initial), initial: initial}
 }
 
-// Accounts returns the number of accounts.
-func (b *Bank) Accounts() int { return len(b.accounts) }
-
 // Op runs one transfer transaction.
 func (b *Bank) Op(rng *rand.Rand) {
 	n := int64(len(b.accounts))

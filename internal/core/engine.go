@@ -44,8 +44,6 @@ const (
 // Callers fill every field they care about: values are applied literally
 // (a zero HTMSpurious disables spurious aborts, it does not mean "default").
 type TxConfig struct {
-	// DedupReads enables read-after-read de-duplication (NOrec family).
-	DedupReads bool
 	// NoExtend disables S-TL2's phase-1 snapshot extension (TL2 family).
 	NoExtend bool
 	// HTMCapacity, HTMRetries, HTMSpurious tune the simulated hardware

@@ -290,63 +290,32 @@ func (e *SemEntry) Holds() bool {
 }
 
 // SemSet is an append-only log of semantic facts with an in-place validator.
-//
-// The eq* fields form a lazily-built duplicate index for HasEQ (the
-// read-deduplication ablation): plain-read EQ facts are folded into a Bloom
-// signature and an exact open-addressed table the first time HasEQ scans
-// past them, making every later duplicate probe O(1) instead of a rescan of
-// the whole log. Configurations that never call HasEQ — the default,
-// matching the paper — pay nothing for the index.
+// It never de-duplicates: like the paper, every read appends its own entry.
 type SemSet struct {
-	entries   []SemEntry
-	eqSig     uint64  // Bloom over indexed (var, value) pairs
-	eqTable   []int32 // open-addressed: entry index+1, 0 = free slot
-	eqMask    uint64  // len(eqTable)-1 (power of two)
-	eqCount   int     // EQ facts indexed so far
-	eqScanned int     // entries[:eqScanned] are folded into the index
-	shrink    Shrinker
+	entries []SemEntry
+	shrink  Shrinker
 }
 
 // semSetMinCap is the pre-sized capacity of a fresh (or freshly clamped)
 // semantic set.
 const semSetMinCap = 32
 
-// eqHash mixes a (variable ID, observed value) pair into one 64-bit hash.
-func eqHash(id uint64, val int64) uint64 {
-	return (id ^ uint64(val)*0xBF58476D1CE4E5B9) * idMix
-}
-
 // NewSemSet returns an empty semantic set with pre-sized capacity.
 func NewSemSet() *SemSet {
 	return &SemSet{entries: make([]SemEntry, 0, semSetMinCap)}
 }
 
-// Reset empties the set, retaining capacity. The duplicate index is cleared
-// (one memclr) only if a HasEQ call built it during the attempt. Retained
-// capacity follows the high-water-mark shrink policy (see WriteSet.Reset):
-// the entry log — read-sets grow by far the largest of the per-transaction
-// containers — and the duplicate index are clamped back near the recent peak
-// after ShrinkAfter consecutive small attempts.
+// Reset empties the set, retaining capacity. Retained capacity follows the
+// high-water-mark shrink policy (see WriteSet.Reset): the entry log —
+// read-sets grow by far the largest of the per-transaction containers — is
+// reallocated for about 2×peak facts after ShrinkAfter consecutive small
+// attempts.
 func (s *SemSet) Reset() {
 	used := len(s.entries)
 	s.entries = s.entries[:0]
-	if s.eqScanned > 0 {
-		s.eqSig = 0
-		s.eqCount = 0
-		s.eqScanned = 0
-		clear(s.eqTable)
-	}
 	if peak, ok := s.shrink.Note(used, cap(s.entries)); ok {
-		s.clamp(peak)
+		s.entries = make([]SemEntry, 0, ShrinkCap(peak, semSetMinCap))
 	}
-}
-
-// clamp reallocates the (empty) set's backing memory for about 2×peak facts.
-// The duplicate index, when one was ever built, is dropped outright — it is
-// rebuilt lazily by the next HasEQ scan, sized for the live log.
-func (s *SemSet) clamp(peak int) {
-	s.entries = make([]SemEntry, 0, ShrinkCap(peak, semSetMinCap))
-	s.eqTable, s.eqMask = nil, 0
 }
 
 // Len reports the number of recorded facts.
@@ -382,72 +351,6 @@ func (s *SemSet) AppendOutcomeVar(a *Var, op Op, b *Var, result bool) {
 
 // Entries exposes the recorded facts. Callers must not mutate the slice.
 func (s *SemSet) Entries() []SemEntry { return s.entries }
-
-// HasEQ reports whether an identical plain-read fact (v == val) is already
-// recorded — the "overhead of discovering duplicates" the paper weighs
-// against duplicate read-set entries; it exists for the
-// read-set-deduplication ablation. Each fact is folded into the signature
-// and exact index at most once, so the amortized probe cost is O(1): a
-// signature miss answers with two ALU ops, a possible hit with a handful of
-// table probes. (The previous implementation rescanned the whole log,
-// making the dedup-on ablation measure O(n²) scan cost rather than dedup
-// cost.)
-func (s *SemSet) HasEQ(v *Var, val int64) bool {
-	for ; s.eqScanned < len(s.entries); s.eqScanned++ {
-		e := &s.entries[s.eqScanned]
-		if e.Op != OpEQ || e.OperandVar != nil {
-			continue
-		}
-		if (s.eqCount+1)*4 > len(s.eqTable)*3 {
-			s.eqGrow()
-		}
-		h := eqHash(e.Var.id, e.Operand)
-		s.eqInsert(h, int32(s.eqScanned+1))
-		s.eqSig |= 1 << (h >> 58)
-		s.eqCount++
-	}
-	h := eqHash(v.id, val)
-	if s.eqSig&(1<<(h>>58)) == 0 {
-		return false
-	}
-	for j := (h >> 32) & s.eqMask; ; j = (j + 1) & s.eqMask {
-		slot := s.eqTable[j]
-		if slot == 0 {
-			return false
-		}
-		e := &s.entries[slot-1]
-		if e.Var == v && e.Operand == val {
-			return true // indexed entries are always plain EQ facts
-		}
-	}
-}
-
-// eqGrow (re)builds the duplicate index at double the size by rescanning the
-// already-folded prefix.
-func (s *SemSet) eqGrow() {
-	n := 2 * len(s.eqTable)
-	if n == 0 {
-		n = 64
-	}
-	s.eqTable = make([]int32, n)
-	s.eqMask = uint64(n - 1)
-	for i := 0; i < s.eqScanned; i++ {
-		e := &s.entries[i]
-		if e.Op == OpEQ && e.OperandVar == nil {
-			s.eqInsert(eqHash(e.Var.id, e.Operand), int32(i+1))
-		}
-	}
-}
-
-// eqInsert stores slot at the first free position of h's probe sequence.
-func (s *SemSet) eqInsert(h uint64, slot int32) {
-	for j := (h >> 32) & s.eqMask; ; j = (j + 1) & s.eqMask {
-		if s.eqTable[j] == 0 {
-			s.eqTable[j] = slot
-			return
-		}
-	}
-}
 
 // HoldsNow re-evaluates every recorded fact against the current memory
 // content and reports whether all still hold. This is the core of semantic

@@ -110,21 +110,3 @@ func BenchmarkWriteSetInsertReset64(b *testing.B) {
 		ws.Reset()
 	}
 }
-
-// BenchmarkSemSetDedupHasEQ: the read-dedup ablation's duplicate probe
-// against a read-set that grows to 64 facts.
-func BenchmarkSemSetDedupHasEQ(b *testing.B) {
-	vars := benchVars(64)
-	s := NewSemSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%64 == 0 {
-			s.Reset()
-		}
-		v := vars[i%64]
-		if !s.HasEQ(v, int64(i%64)) {
-			s.Append(v, OpEQ, int64(i%64))
-		}
-	}
-}

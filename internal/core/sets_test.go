@@ -378,48 +378,6 @@ func TestSemSetReset(t *testing.T) {
 	}
 }
 
-// TestSemSetHasEQIndexed locks the duplicate index to a naive scan: random
-// mixes of plain EQ facts, outcome facts, and two-address facts, probed with
-// both present and absent pairs, across Reset reuse of one set.
-func TestSemSetHasEQIndexed(t *testing.T) {
-	vars := NewVars(16, 0)
-	naive := func(s *SemSet, v *Var, val int64) bool {
-		for _, e := range s.Entries() {
-			if e.Var == v && e.Op == OpEQ && e.OperandVar == nil && e.Operand == val {
-				return true
-			}
-		}
-		return false
-	}
-	rng := rand.New(rand.NewSource(42))
-	s := NewSemSet()
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 300; i++ {
-			v := vars[rng.Intn(len(vars))]
-			val := rng.Int63n(8)
-			switch rng.Intn(4) {
-			case 0:
-				s.Append(v, OpEQ, val)
-			case 1:
-				s.AppendOutcome(v, OpGT, val, rng.Intn(2) == 0)
-			case 2:
-				s.AppendOutcomeVar(v, OpNEQ, vars[rng.Intn(len(vars))], true)
-			case 3:
-				// probe only
-			}
-			pv, pval := vars[rng.Intn(len(vars))], rng.Int63n(8)
-			if got, want := s.HasEQ(pv, pval), naive(s, pv, pval); got != want {
-				t.Fatalf("round %d op %d: HasEQ(%d,%d) = %v, naive %v",
-					round, i, pv.ID(), pval, got, want)
-			}
-		}
-		s.Reset()
-		if s.HasEQ(vars[0], 0) {
-			t.Fatal("HasEQ must be false after Reset")
-		}
-	}
-}
-
 // TestWriteSetMayContain: misses must be definitive, hits conservative.
 func TestWriteSetMayContain(t *testing.T) {
 	ws := NewWriteSet()

@@ -127,12 +127,9 @@ func TestSemSetShrinkReleasesMemoryAndEqTable(t *testing.T) {
 	for i, v := range vars {
 		s.Append(v, OpEQ, int64(i))
 	}
-	if !s.HasEQ(vars[0], 0) {
-		t.Fatal("setup: HasEQ missed a recorded fact")
-	}
-	bigCap, bigEq := cap(s.entries), len(s.eqTable)
-	if bigCap < 600 || bigEq == 0 {
-		t.Fatalf("setup: cap=%d eqTable=%d, want a grown set with an index", bigCap, bigEq)
+	bigCap := cap(s.entries)
+	if bigCap < 600 {
+		t.Fatalf("setup: cap=%d, want a grown set", bigCap)
 	}
 	s.Reset()
 	for i := 0; i < ShrinkAfter; i++ {
@@ -143,14 +140,6 @@ func TestSemSetShrinkReleasesMemoryAndEqTable(t *testing.T) {
 	}
 	if got, want := cap(s.entries), ShrinkCap(4, semSetMinCap); got != want {
 		t.Errorf("entries cap after clamp = %d, want %d (was %d)", got, want, bigCap)
-	}
-	if s.eqTable != nil {
-		t.Errorf("eq index retained (%d slots) across clamp", len(s.eqTable))
-	}
-	// The index rebuilds lazily and correctly after the clamp.
-	s.Append(vars[0], OpEQ, 7)
-	if !s.HasEQ(vars[0], 7) || s.HasEQ(vars[1], 7) {
-		t.Error("HasEQ wrong after clamp (index rebuild broken)")
 	}
 }
 

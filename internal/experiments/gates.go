@@ -215,8 +215,8 @@ func serveGate(cfg Config) (string, bool, error) {
 	}
 	r := ratio(batched.RequestsPerSec, unbatched.RequestsPerSec)
 	m := batched.Metrics
-	return fmt.Sprintf("%s %v x%d conns, %d shards, fsync=%s: unbatched %.1f kreq/s, batched %.1f kreq/s, ratio %.2fx (min %.1fx) [window %.1f, merged %.1f%%, solo %d]",
-		serverWorkload, serverAlgo, serverConns, serverShards, serverFsync,
+	return fmt.Sprintf("counter %v x%d conns, %d shards, fsync=%s: unbatched %.1f kreq/s, batched %.1f kreq/s, ratio %.2fx (min %.1fx) [window %.1f, merged %.1f%%, solo %d]",
+		serverAlgo, serverConns, serverShards, serverFsync,
 		unbatched.RequestsPerSec/1000, batched.RequestsPerSec/1000, r, serveGateMin,
 		m.MeanBatch(), 100*m.MergedIncRatio(), m.SoloFallbacks()), r >= serveGateMin, nil
 }

@@ -15,10 +15,9 @@ import (
 	"semstm/stm"
 )
 
+// The load is server.RunLoad's counter-heavy traffic: where the batcher's
+// inc merging and commit amortization both engage.
 const (
-	// serverWorkload is counter-heavy traffic: where the batcher's inc
-	// merging and commit amortization both engage.
-	serverWorkload = "counter"
 	// serverConns / serverShards shape the gate: heavily oversubscribed
 	// simulated connections over a modest shard count.
 	serverConns  = 1024
@@ -55,16 +54,11 @@ func runServeArm(cfg Config, batching bool) (serveResult, error) {
 		if err != nil {
 			return serveResult{}, err
 		}
-		res, err := server.RunLoad(s, server.LoadConfig{
-			Workload:    serverWorkload,
+		res := server.RunLoad(s, server.LoadConfig{
 			Connections: serverConns,
 			Duration:    cfg.duration(),
 			Seed:        uint64(rep) + 1,
 		})
-		out := serveResult{LoadResult: res, Metrics: s.Metrics()}
-		if closeErr := s.Close(); err == nil {
-			err = closeErr
-		}
-		return out, err
+		return serveResult{LoadResult: res, Metrics: s.Metrics()}, s.Close()
 	})
 }

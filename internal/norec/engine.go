@@ -10,11 +10,7 @@ type engine struct {
 	g *Global
 }
 
-func (e engine) NewTx(cfg core.TxConfig) core.TxImpl {
-	tx := NewTx(e.g)
-	tx.SetDedupReads(cfg.DedupReads)
-	return tx
-}
+func (e engine) NewTx(core.TxConfig) core.TxImpl { return NewTx(e.g) }
 
 func (e engine) Quiescent() error { return e.g.Quiescent() }
 

@@ -102,7 +102,6 @@ const (
 // Tx is one NOrec transaction descriptor, reused across attempts.
 type Tx struct {
 	g      *Global
-	dedup  bool
 	locked bool // holds the sequence lock (Prepare..Publish, or irrevocable)
 	// rare gathers what sends a barrier off its plain path (rareFault,
 	// rareInPlace), so plain S-NOrec Read and Cmp pay one test for both.
@@ -326,18 +325,10 @@ func (tx *Tx) Read(v *core.Var) int64 {
 		return tx.raw(v, e)
 	}
 	val := tx.readValid(v)
-	if !tx.dedup || !tx.reads.HasEQ(v, val) {
-		tx.reads.Append(v, core.OpEQ, val)
-	}
+	tx.reads.Append(v, core.OpEQ, val)
 	tx.tracked()
 	return val
 }
-
-// SetDedupReads toggles read-after-read de-duplication: the paper
-// deliberately appends one read-set entry per read because "the overhead of
-// discovering duplicates may not be negligible"; this knob exists to measure
-// exactly that trade-off (see the ablation benchmarks).
-func (tx *Tx) SetDedupReads(on bool) { tx.dedup = on }
 
 // Write implements the classical TM_WRITE barrier (Algorithm 6 lines 50–52).
 func (tx *Tx) Write(v *core.Var, val int64) {

@@ -1,129 +1,57 @@
-// The load generator: simulated client connections driving the store with
-// the workload mixes the server grid benchmarks (counter-heavy, read-mostly,
-// mixed). In-process mode submits straight into the Store from one goroutine
-// per simulated connection — the shape the 1-core servegate measures, where
-// batching wins by amortizing commit work, not by hiding network latency;
-// TCP mode drives a live server over the wire protocol.
+// The load generator: simulated client connections driving the store in
+// process with counter-heavy traffic — the servegate shape, one goroutine
+// per simulated connection submitting straight into the Store. On one core
+// batching wins there by amortizing commit work, not by hiding network
+// latency.
 package server
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"semstm/stm"
 )
+
+// loadHotKeys is the counter workload's hot set: small enough that the
+// batcher's inc merging engages.
+const loadHotKeys = 4096
 
 // LoadConfig parameterizes one load run.
 type LoadConfig struct {
-	// Workload is the mix: "counter" (inc-heavy over a hot key set, the
-	// merge showcase), "readmostly" (90% point reads over the full key
-	// universe), or "mixed" (reads, writes, incs, and guarded transfers —
-	// transfers span shards whenever their two keys hash apart).
-	Workload string
 	// Connections is the number of simulated client connections.
 	Connections int
-	// Keys is the key-universe size per keyspace (default 1<<20).
-	Keys uint64
-	// HotKeys is the counter workload's hot set size (default 4096).
-	HotKeys uint64
-	// Duration is how long to drive load (default 1s).
+	// Duration is how long to drive load.
 	Duration time.Duration
 	// Seed makes the generated op stream deterministic.
 	Seed uint64
-}
-
-func (cfg *LoadConfig) defaults() error {
-	switch cfg.Workload {
-	case "counter", "readmostly", "mixed":
-	default:
-		return fmt.Errorf("server: unknown workload %q", cfg.Workload)
-	}
-	if cfg.Connections <= 0 {
-		cfg.Connections = 64
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 1 << 20
-	}
-	if cfg.HotKeys == 0 {
-		cfg.HotKeys = 4096
-	}
-	if cfg.HotKeys > cfg.Keys {
-		cfg.HotKeys = cfg.Keys
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Second
-	}
-	return nil
 }
 
 // LoadResult is one load run's outcome tallies.
 type LoadResult struct {
 	Requests       uint64
 	Committed      uint64
-	GuardFailed    uint64
-	Aborted        uint64
 	Elapsed        time.Duration
 	RequestsPerSec float64
 }
 
-// genRequest fills r with the next request of the connection's stream.
-func genRequest(rng *rand.Rand, cfg *LoadConfig, r *Request) {
-	r.Ops = r.Ops[:0]
-	switch cfg.Workload {
-	case "counter":
-		k := rng.Uint64() % cfg.HotKeys
-		if rng.Intn(100) < 95 {
-			r.Ops = append(r.Ops, Op{Code: OpInc, Key: k, Val: 1})
-		} else {
-			r.Ops = append(r.Ops, Op{Code: OpRead, Key: k})
-		}
-	case "readmostly":
-		k := rng.Uint64() % cfg.Keys
-		switch p := rng.Intn(100); {
-		case p < 90:
-			r.Ops = append(r.Ops, Op{Code: OpRead, Key: k})
-		case p < 99:
-			r.Ops = append(r.Ops, Op{Code: OpWrite, Key: k, Val: int64(k)})
-		default:
-			r.Ops = append(r.Ops, Op{Code: OpInc, Key: k, Val: 1})
-		}
-	case "mixed":
-		switch p := rng.Intn(100); {
-		case p < 40:
-			r.Ops = append(r.Ops, Op{Code: OpRead, Key: rng.Uint64() % cfg.Keys})
-		case p < 65:
-			r.Ops = append(r.Ops, Op{Code: OpInc, Key: rng.Uint64() % cfg.HotKeys, Val: 1})
-		case p < 85:
-			// Guarded transfer: overdraft-checked move between two cells —
-			// cross-shard whenever the keys hash apart.
-			a := rng.Uint64() % cfg.HotKeys
-			b := rng.Uint64() % cfg.HotKeys
-			r.Ops = append(r.Ops,
-				Op{Code: OpCmp, Key: a, Cmp: stm.OpGTE, Val: 1},
-				Op{Code: OpInc, Key: a, Val: -1},
-				Op{Code: OpInc, Key: b, Val: 1},
-			)
-		default:
-			r.Ops = append(r.Ops, Op{Code: OpWrite, Key: rng.Uint64() % cfg.Keys, Val: rng.Int63n(1000)})
-		}
+// genRequest fills r with the next request of the connection's stream: an
+// increment of a hot key 95% of the time, a read of one otherwise.
+func genRequest(rng *rand.Rand, r *Request) {
+	k := rng.Uint64() % loadHotKeys
+	if rng.Intn(100) < 95 {
+		r.Ops = append(r.Ops[:0], Op{Code: OpInc, Key: k, Val: 1})
+	} else {
+		r.Ops = append(r.Ops[:0], Op{Code: OpRead, Key: k})
 	}
 }
 
 // RunLoad drives the store in-process: cfg.Connections goroutines submitting
 // generated requests for cfg.Duration.
-func RunLoad(s *Store, cfg LoadConfig) (LoadResult, error) {
-	if err := cfg.defaults(); err != nil {
-		return LoadResult{}, err
-	}
+func RunLoad(s *Store, cfg LoadConfig) LoadResult {
 	var (
 		stop      atomic.Bool
 		requests  atomic.Uint64
 		committed atomic.Uint64
-		guarded   atomic.Uint64
-		aborted   atomic.Uint64
 		wg        sync.WaitGroup
 	)
 	start := time.Now()
@@ -134,15 +62,10 @@ func RunLoad(s *Store, cfg LoadConfig) (LoadResult, error) {
 			rng := rand.New(rand.NewSource(int64(cfg.Seed) + int64(c)*7919))
 			r := &Request{Ops: make([]Op, 0, 4)}
 			for !stop.Load() {
-				genRequest(rng, &cfg, r)
+				genRequest(rng, r)
 				res := s.Submit(r)
 				requests.Add(1)
-				switch {
-				case !res.Committed:
-					aborted.Add(1)
-				case !res.GuardOK:
-					guarded.Add(1)
-				default:
+				if res.Committed {
 					committed.Add(1)
 				}
 			}
@@ -153,91 +76,10 @@ func RunLoad(s *Store, cfg LoadConfig) (LoadResult, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 	out := LoadResult{
-		Requests:    requests.Load(),
-		Committed:   committed.Load(),
-		GuardFailed: guarded.Load(),
-		Aborted:     aborted.Load(),
-		Elapsed:     elapsed,
+		Requests:  requests.Load(),
+		Committed: committed.Load(),
+		Elapsed:   elapsed,
 	}
 	out.RequestsPerSec = float64(out.Requests) / elapsed.Seconds()
-	return out, nil
-}
-
-// RunLoadTCP drives a live server over the wire protocol, one real TCP
-// connection per simulated connection.
-func RunLoadTCP(addr string, cfg LoadConfig) (LoadResult, error) {
-	if err := cfg.defaults(); err != nil {
-		return LoadResult{}, err
-	}
-	clients := make([]*Client, cfg.Connections)
-	for i := range clients {
-		c, err := Dial(addr)
-		if err != nil {
-			for _, cc := range clients[:i] {
-				cc.Close()
-			}
-			return LoadResult{}, err
-		}
-		clients[i] = c
-	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	var (
-		stop      atomic.Bool
-		requests  atomic.Uint64
-		committed atomic.Uint64
-		guarded   atomic.Uint64
-		aborted   atomic.Uint64
-		wg        sync.WaitGroup
-	)
-	start := time.Now()
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(cfg.Seed) + int64(i)*7919))
-			r := &Request{Ops: make([]Op, 0, 4)}
-			wops := make([]WireOp, 0, 4)
-			for !stop.Load() {
-				genRequest(rng, &cfg, r)
-				wops = wops[:0]
-				for _, op := range r.Ops {
-					wo := WireOp{Op: op.Code.String(), Ks: op.Ks, Key: op.Key, Val: op.Val}
-					if op.Code == OpCmp {
-						wo.Cmp = cmpName(op.Cmp)
-					}
-					wops = append(wops, wo)
-				}
-				resp, err := c.Do(wops)
-				if err != nil {
-					return
-				}
-				requests.Add(1)
-				switch {
-				case !resp.OK:
-					aborted.Add(1)
-				case !resp.Guard:
-					guarded.Add(1)
-				default:
-					committed.Add(1)
-				}
-			}
-		}(i, c)
-	}
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	out := LoadResult{
-		Requests:    requests.Load(),
-		Committed:   committed.Load(),
-		GuardFailed: guarded.Load(),
-		Aborted:     aborted.Load(),
-		Elapsed:     elapsed,
-	}
-	out.RequestsPerSec = float64(out.Requests) / elapsed.Seconds()
-	return out, nil
+	return out
 }

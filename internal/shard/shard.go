@@ -110,24 +110,19 @@ type Engine struct {
 
 	// Durable pipeline (DESIGN.md §12): when a logger is installed, every
 	// barrier on a durable-keyed Var captures a semantic redo record and the
-	// commit paths append the records before publication. logFacts
-	// additionally captures single-variable cmp outcomes as self-checking
-	// fact records. walFailed latches after a real log I/O error: the
-	// failing attempt aborts with ReasonLogFail (escalating to the
-	// irrevocable mode), and every later commit skips logging — the runtime
-	// degrades to volatile instead of wedging on a dead disk.
+	// commit paths append the records before publication. walFailed
+	// latches after a real log I/O error: the failing attempt aborts with
+	// ReasonLogFail (escalating to the irrevocable mode), and every later
+	// commit skips logging — the runtime degrades to volatile instead of
+	// wedging on a dead disk.
 	logger    Logger
-	logFacts  bool
 	walFailed atomic.Bool
 }
 
 // SetLogger installs the durable redo sink. Call before the engine is
 // shared; a nil logger keeps the whole capture path to one pointer test per
 // barrier.
-func (e *Engine) SetLogger(l Logger, logFacts bool) {
-	e.logger = l
-	e.logFacts = logFacts
-}
+func (e *Engine) SetLogger(l Logger) { e.logger = l }
 
 // WALFailed reports whether a log-write failure has latched the engine into
 // volatile degraded mode.
@@ -168,11 +163,6 @@ func (e *Engine) NumShards() int { return e.n }
 
 // Ticket exposes the cross-shard commit ticket (tests and diagnostics).
 func (e *Engine) Ticket() uint64 { return e.ticket.Load() }
-
-// ShardOf reports the backing instance a variable routes to — the routing
-// decision a coalescing front-end (internal/server) must replicate to
-// assemble single-shard batches.
-func (e *Engine) ShardOf(v *core.Var) int { return e.shardOf(v) }
 
 // shardOf maps a variable to its backing instance: the stamped shard
 // assignment, folded into range for out-of-range stamps (a Var allocated for
@@ -321,7 +311,7 @@ func (tx *Tx) Start() {
 
 // capture appends one semantic redo record for v's shard. Volatile-only
 // variables (durable key 0) are never logged.
-func (tx *Tx) capture(v *core.Var, op wal.Op, aux uint8, val int64) {
+func (tx *Tx) capture(v *core.Var, op wal.Op, val int64) {
 	k := v.DurableKey()
 	if k == 0 {
 		return
@@ -330,7 +320,7 @@ func (tx *Tx) capture(v *core.Var, op wal.Op, aux uint8, val int64) {
 		tx.redo = make([][]wal.Record, tx.e.eff)
 	}
 	s := tx.e.shardOf(v)
-	tx.redo[s] = append(tx.redo[s], wal.Record{Op: op, Aux: aux, Key: k, Val: val})
+	tx.redo[s] = append(tx.redo[s], wal.Record{Op: op, Key: k, Val: val})
 }
 
 // SetFaultPlan arms or disarms fault injection on every cached
@@ -431,22 +421,14 @@ func (tx *Tx) Write(v *core.Var, val int64) {
 	tx.recheck()
 	tx.sub(v).Write(v, val)
 	if tx.e.logger != nil {
-		tx.capture(v, wal.OpWrite, 0, val)
+		tx.capture(v, wal.OpWrite, val)
 	}
 }
 
 // Cmp routes the semantic conditional.
 func (tx *Tx) Cmp(v *core.Var, op core.Op, operand int64) bool {
 	tx.recheck()
-	held := tx.sub(v).Cmp(v, op, operand)
-	if tx.e.logger != nil && tx.e.logFacts {
-		aux := uint8(op)
-		if held {
-			aux |= wal.FactHeld
-		}
-		tx.capture(v, wal.OpFact, aux, operand)
-	}
-	return held
+	return tx.sub(v).Cmp(v, op, operand)
 }
 
 // CmpVars routes the address–address conditional. Operands on one shard
@@ -524,7 +506,7 @@ func (tx *Tx) Inc(v *core.Var, delta int64) {
 	tx.recheck()
 	tx.sub(v).Inc(v, delta)
 	if tx.e.logger != nil {
-		tx.capture(v, wal.OpInc, 0, delta)
+		tx.capture(v, wal.OpInc, delta)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"semstm/internal/core"
 )
 
 // RecoveredVal is one variable's replayed state. Anchored means an OpWrite
@@ -28,7 +26,6 @@ type RecoveredState struct {
 	CrossApplied uint64 // distinct cross-shard commits applied
 	TornShards   int    // shards whose tail was truncated mid-frame
 	CutFrames    uint64 // intact frames discarded by the cross-completeness cut
-	FactsChecked uint64 // OpFact records re-evaluated against the prefix state
 }
 
 // Resolve returns key's recovered value given the initial value the
@@ -241,8 +238,8 @@ func (sc *shardScan) repairCut(dir string) error {
 	return nil
 }
 
-// replay folds every surviving frame into the value map, re-evaluating fact
-// records against the rebuilt prefix state. Shards replay independently:
+// replay folds every surviving frame into the value map, refusing any
+// opcode it does not know. Shards replay independently:
 // each variable lives on exactly one shard, so all records touching it sit
 // in that shard's log in serial commit order; cross-shard frames carry only
 // their shard's record subset.
@@ -263,18 +260,6 @@ func replay(scans []*shardScan, rs *RecoveredState) error {
 					rv := rs.Vals[r.Key]
 					rv.Val += r.Val
 					rs.Vals[r.Key] = rv
-				case OpFact:
-					// A fact only verifies once a write anchored the key:
-					// without the anchor the base value is unknown here.
-					rv, ok := rs.Vals[r.Key]
-					if !ok || !rv.Anchored {
-						continue
-					}
-					rs.FactsChecked++
-					op := core.Op(r.Aux &^ FactHeld)
-					if op.Eval(rv.Val, r.Val) != (r.Aux&FactHeld != 0) {
-						return fmt.Errorf("%w: shard %d seq %d: logged fact on key %d flipped on replay", ErrCorrupt, s, f.seq, r.Key)
-					}
 				default:
 					return fmt.Errorf("%w: shard %d seq %d: unknown opcode %d", ErrCorrupt, s, f.seq, r.Op)
 				}

@@ -3,15 +3,14 @@
 // operations rather than value images. A deferred increment logs as `inc +δ`
 // without ever reading the variable — the same low-level-semantics property
 // that lets S-NOrec commit counter traffic without validation makes its redo
-// record tiny and replay-commutative — and a composed fact logs as the fact
-// itself, giving recovery a self-checking assertion stream.
+// record tiny and replay-commutative.
 //
 // On-disk layout under the log directory:
 //
 //	manifest                     shard count, written once at creation
 //	shard-NNN/seg-NNNNNNNN.wal   one shard's segments, in creation order
 //
-// Each segment opens with a fixed header carrying the SHA-256 hain value
+// Each segment opens with a fixed header carrying the SHA-256 chain value
 // accumulated over every frame of every earlier segment, so the whole
 // per-shard log is one hash chain (the Merkle-chained ledger idea of the
 // audit-log exemplar in SNIPPETS.md, flattened to a linear chain): a frame
@@ -60,16 +59,7 @@ const (
 	// anchors the key, replayed deltas accumulate relative to the initial
 	// value the application re-supplies at recovery (RecoveredVal.Anchored).
 	OpInc
-	// OpFact records a semantic fact the commit validated: `key <cmpop>
-	// val` held (or did not — Aux carries the outcome). Facts mutate
-	// nothing; replay re-evaluates them against the rebuilt prefix state and
-	// treats a flip as corruption, making the log self-checking.
-	OpFact
 )
-
-// FactHeld is the Aux bit marking that the fact evaluated true at commit
-// time; the low bits carry the core.Op comparison code.
-const FactHeld = 0x80
 
 // Record is one semantic redo record.
 type Record struct {
@@ -77,15 +67,6 @@ type Record struct {
 	Aux uint8
 	Key uint64
 	Val int64
-}
-
-// FactRecord builds an OpFact record from a validated comparison outcome.
-func FactRecord(key uint64, cmp core.Op, operand int64, held bool) Record {
-	aux := uint8(cmp)
-	if held {
-		aux |= FactHeld
-	}
-	return Record{Op: OpFact, Aux: aux, Key: key, Val: operand}
 }
 
 const (
@@ -102,8 +83,8 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Errors of the durable pipeline. ErrCorrupt covers everything recovery must
-// refuse (interior CRC/chain/sequence damage, fact flips); a torn tail is
-// not corruption and never surfaces as an error.
+// refuse (interior CRC/chain/sequence damage, unknown opcodes); a torn tail
+// is not corruption and never surfaces as an error.
 var (
 	ErrCorrupt       = errors.New("wal: log corrupt")
 	ErrShardMismatch = errors.New("wal: shard count differs from manifest")

@@ -19,7 +19,7 @@ func openT(t *testing.T, dir string, nshards int, opt Options) *Set {
 	return s
 }
 
-// TestRoundTrip logs writes, increments, and facts across two shards and
+// TestRoundTrip logs writes and increments across two shards and
 // replays them: writes anchor absolute values, bare increments stay deltas
 // resolved against the caller's initial value.
 func TestRoundTrip(t *testing.T) {
@@ -28,7 +28,6 @@ func TestRoundTrip(t *testing.T) {
 	if err := s.LogSingle(0, []Record{
 		{Op: OpWrite, Key: 1, Val: 100},
 		{Op: OpInc, Key: 1, Val: 5},
-		FactRecord(1, core.OpGT, 50, true),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +52,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := rs.Resolve(3, 42); got != 42 {
 		t.Fatalf("unlogged key: got %d, want 42", got)
-	}
-	if rs.FactsChecked != 1 {
-		t.Fatalf("facts checked: %d, want 1", rs.FactsChecked)
 	}
 }
 
@@ -449,21 +445,25 @@ func TestManifestMismatch(t *testing.T) {
 	}
 }
 
-// TestFactFlipRefused hand-crafts a log whose fact contradicts its writes:
-// replay must refuse it as corruption.
-func TestFactFlipRefused(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, 1, Options{Policy: SyncAlways})
-	if err := s.LogSingle(0, []Record{
-		{Op: OpWrite, Key: 60, Val: 10},
-		FactRecord(60, core.OpGT, 100, true), // 10 > 100 claimed true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Recover(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt on fact flip, got %v", err)
+// TestUnknownOpcodeRefused hand-crafts logs whose frames pass the CRC and
+// chain checks but carry an opcode replay does not know — 2 (the retired
+// fact record) and 0xFF: replay must refuse them as corruption rather than
+// skip the record.
+func TestUnknownOpcodeRefused(t *testing.T) {
+	for _, op := range []Op{2, 0xFF} {
+		dir := t.TempDir()
+		s := openT(t, dir, 1, Options{Policy: SyncAlways})
+		if err := s.LogSingle(0, []Record{
+			{Op: OpWrite, Key: 60, Val: 10},
+			{Op: op, Key: 60, Val: 100},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(dir); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("opcode %d: want ErrCorrupt, got %v", op, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package semstm
 
 import (
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -43,4 +44,54 @@ func TestReadmeEngineTable(t *testing.T) {
 	if !slices.Equal(documented, registered) {
 		t.Fatalf("README engine table lists %q, registry has %q", documented, registered)
 	}
+}
+
+var (
+	// goRunCmd matches a documented `go run ./cmd/<x>` invocation.
+	goRunCmd = regexp.MustCompile(`go run (?:-C \S+ )?\./(cmd/[\w-]+)`)
+	// codeSpan matches one inline code span.
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// treePath matches a repository path inside a code span; a {a,b}
+	// group expands to one path per alternative.
+	treePath = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:cmd|internal|stm|scripts)/[\w./{},-]*)`)
+)
+
+// TestDocPathsExist holds the prose docs to the tree: every `go run
+// ./cmd/<x>` command and every code-span path under cmd/, internal/, stm/
+// or scripts/ must name something that exists, so deleting a command or a
+// file without fixing the docs that point at it fails here.
+func TestDocPathsExist(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, m := range goRunCmd.FindAllStringSubmatch(string(raw), -1) {
+			paths = append(paths, m[1])
+		}
+		for _, span := range codeSpan.FindAllString(string(raw), -1) {
+			for _, m := range treePath.FindAllStringSubmatch(span, -1) {
+				paths = append(paths, expandBraces(strings.TrimRight(m[1], ".,"))...)
+			}
+		}
+		for _, p := range paths {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, p)
+			}
+		}
+	}
+}
+
+// expandBraces expands the first {a,b,...} group of p, recursively.
+func expandBraces(p string) []string {
+	open, end := strings.IndexByte(p, '{'), strings.IndexByte(p, '}')
+	if open < 0 || end < open {
+		return []string{p}
+	}
+	var out []string
+	for _, alt := range strings.Split(p[open+1:end], ",") {
+		out = append(out, expandBraces(p[:open]+alt+p[end+1:])...)
+	}
+	return out
 }

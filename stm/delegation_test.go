@@ -113,11 +113,10 @@ func (l *recordingLogger) LogCross(_ []int, recs [][]wal.Record) error {
 // TestDurableBaselineLogsEngineOps: delegation happens above the sharded
 // engine, so a durable baseline logs what its engine actually did — an
 // increment is the absolute OpWrite of its read+write, and a comparison is a
-// plain read that logs no OpFact. The semantic engines keep logging the delta
-// and the fact.
+// plain read that logs nothing. The semantic engines log the delta, and a
+// comparison logs nothing there either.
 func TestDurableBaselineLogsEngineOps(t *testing.T) {
 	const key = 7
-	fact := wal.FactRecord(key, OpGT, 0, true)
 	inc := wal.Record{Op: wal.OpInc, Key: key, Val: 5}
 	write := wal.Record{Op: wal.OpWrite, Key: key, Val: 15}
 	for _, c := range []struct {
@@ -126,11 +125,11 @@ func TestDurableBaselineLogsEngineOps(t *testing.T) {
 	}{
 		{NOrec, []wal.Record{write}},
 		{TL2, []wal.Record{write}},
-		{SNOrec, []wal.Record{fact, inc}},
-		{STL2, []wal.Record{fact, inc}},
+		{SNOrec, []wal.Record{inc}},
+		{STL2, []wal.Record{inc}},
 	} {
 		log := &recordingLogger{}
-		rt := newRuntime(c.algo, 2, log, true)
+		rt := newRuntime(c.algo, 2, log)
 		x := core.NewVarDurable(1, key, 10)
 		rt.Atomically(func(tx *Tx) {
 			if tx.GT(x, 0) {

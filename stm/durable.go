@@ -7,7 +7,6 @@ package stm
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"semstm/internal/core"
 	"semstm/internal/shard"
@@ -42,9 +41,6 @@ type RecoveryInfo struct {
 	// incomplete cross-shard commit made their suffix unsound.
 	CutFrames  uint64
 	TornShards int
-	// FactsChecked counts logged semantic facts re-verified against the
-	// replayed prefix state.
-	FactsChecked uint64
 }
 
 // WALStats is the group-commit accounting of a durable runtime: frames
@@ -61,38 +57,14 @@ type WALStats struct {
 type DurableOption func(*durableCfg)
 
 type durableCfg struct {
-	policy   string
-	interval time.Duration
-	segBytes int64
-	logFacts bool
-	plan     *FaultPlan
+	policy string
+	plan   *FaultPlan
 }
 
 // WithFsync selects the fsync policy: "always" (every group-commit batch,
 // the default), "interval" (at most one fsync per window), or "none".
 func WithFsync(policy string) DurableOption {
 	return func(c *durableCfg) { c.policy = policy }
-}
-
-// WithFsyncInterval sets the "interval" policy's window. The default is 2ms
-// scaled by the shard count: each shard log has its own background flusher,
-// and the scaled window keeps the set-wide fsync rate constant however the
-// log is partitioned.
-func WithFsyncInterval(d time.Duration) DurableOption {
-	return func(c *durableCfg) { c.interval = d }
-}
-
-// WithSegmentBytes sets the log segment roll threshold (default 4 MiB).
-func WithSegmentBytes(n int64) DurableOption {
-	return func(c *durableCfg) { c.segBytes = n }
-}
-
-// WithFactLogging additionally logs every single-variable semantic
-// comparison outcome as a fact record, which recovery re-verifies against
-// the replayed state — a self-checking log at the cost of one record per
-// cmp. Off by default.
-func WithFactLogging() DurableOption {
-	return func(c *durableCfg) { c.logFacts = true }
 }
 
 // WithCrashPlan arms a fault plan on both the runtime (spurious aborts,
@@ -128,25 +100,19 @@ func OpenDurable(dir string, algo Algorithm, nshards int, opts ...DurableOption)
 	if err != nil {
 		return nil, err
 	}
-	set, err := wal.Open(dir, nshards, wal.Options{
-		Policy:       policy,
-		Interval:     cfg.interval,
-		SegmentBytes: cfg.segBytes,
-		Plan:         cfg.plan,
-	})
+	set, err := wal.Open(dir, nshards, wal.Options{Policy: policy, Plan: cfg.plan})
 	if err != nil {
 		return nil, err
 	}
 	rs := set.Recovered()
 	d := &Durable{
-		rt:  newRuntime(algo, nshards, set, cfg.logFacts),
+		rt:  newRuntime(algo, nshards, set),
 		set: set,
 		rec: RecoveryInfo{
 			Frames:       rs.Frames,
 			CrossApplied: rs.CrossApplied,
 			CutFrames:    rs.CutFrames,
 			TornShards:   rs.TornShards,
-			FactsChecked: rs.FactsChecked,
 		},
 		keys: make(map[uint64]bool),
 	}
@@ -210,12 +176,6 @@ func (d *Durable) WALFailed() bool {
 	}
 	return false
 }
-
-// InjectLogFailure latches err as the log's terminal error — the
-// deterministic stand-in for a dying disk. The next durable commit aborts
-// with AbortLogFail, escalates to the irrevocable mode, and completes
-// volatile; the runtime keeps serving transactions. Testing hook.
-func (d *Durable) InjectLogFailure(err error) { d.set.InjectFailure(err) }
 
 // Close seals every shard's log. The runtime must be quiescent.
 func (d *Durable) Close() error { return d.set.Close() }

@@ -7,52 +7,6 @@ import (
 	"semstm/stm"
 )
 
-// TestReadDedupPreservesSemantics: the de-duplication ablation knob must not
-// change observable behaviour, only read-set size.
-func TestReadDedupPreservesSemantics(t *testing.T) {
-	for _, dedup := range []bool{false, true} {
-		rt := stm.New(stm.SNOrec)
-		rt.SetReadDedup(dedup)
-		v := stm.NewVar(10)
-		w := stm.NewVar(0)
-		got := stm.Run(rt, func(tx *stm.Tx) int64 {
-			a := tx.Read(v)
-			b := tx.Read(v) // duplicate read
-			c := tx.Read(v)
-			tx.Write(w, a+b+c)
-			return a + b + c
-		})
-		if got != 30 || w.Load() != 30 {
-			t.Fatalf("dedup=%v: got %d, w=%d", dedup, got, w.Load())
-		}
-	}
-}
-
-func TestReadDedupUnderConcurrency(t *testing.T) {
-	rt := stm.New(stm.SNOrec)
-	rt.SetReadDedup(true)
-	c := stm.NewVar(0)
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				rt.Atomically(func(tx *stm.Tx) {
-					// read-modify-write with redundant reads
-					a := tx.Read(c)
-					_ = tx.Read(c)
-					tx.Write(c, a+1)
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Load() != 6*300 {
-		t.Fatalf("counter = %d", c.Load())
-	}
-}
-
 // TestNoExtendStillCorrect: disabling S-TL2's phase-1 extension only loses
 // performance, never correctness.
 func TestNoExtendStillCorrect(t *testing.T) {

@@ -195,13 +195,9 @@ type Runtime struct {
 
 	// walLogger is the durable redo sink installed on every sharded engine
 	// instance the runtime builds (OpenDurable); nil on volatile runtimes.
-	// walFacts additionally logs single-variable cmp outcomes as
-	// self-checking fact records.
 	walLogger shard.Logger
-	walFacts  bool
 
 	// Ablation and tuning knobs, set before the runtime is shared.
-	dedupReads    bool
 	noExtend      bool
 	backoff       BackoffPolicy
 	htmCapacity   int
@@ -213,7 +209,7 @@ type Runtime struct {
 
 // New creates a runtime for the given algorithm. The algorithm must be
 // registered in the engine registry (every Algorithm constant is).
-func New(algo Algorithm) *Runtime { return newRuntime(algo, 0, nil, false) }
+func New(algo Algorithm) *Runtime { return newRuntime(algo, 0, nil) }
 
 // NewShardedRuntime creates a runtime whose engine is partitioned into
 // nshards independent instances — per-shard TL2 clocks and orec tables,
@@ -239,10 +235,10 @@ func NewShardedRuntime(algo Algorithm, nshards int) *Runtime {
 	if !desc.Composite && !desc.TwoPhase && !desc.Irrevocable {
 		panic(fmt.Sprintf("stm: engine %q cannot be sharded (no two-phase commit)", desc.Name))
 	}
-	return newRuntime(algo, nshards, nil, false)
+	return newRuntime(algo, nshards, nil)
 }
 
-func newRuntime(algo Algorithm, nshards int, logger shard.Logger, logFacts bool) *Runtime {
+func newRuntime(algo Algorithm, nshards int, logger shard.Logger) *Runtime {
 	desc, ok := core.EngineFor(algo)
 	if !ok {
 		panic(fmt.Sprintf("stm: unknown algorithm %d", int(algo)))
@@ -251,7 +247,6 @@ func newRuntime(algo Algorithm, nshards int, logger shard.Logger, logFacts bool)
 		algo:          algo,
 		nshards:       nshards,
 		walLogger:     logger,
-		walFacts:      logFacts,
 		htmCapacity:   htm.DefaultCapacity,
 		htmRetries:    htm.DefaultMaxHWRetries,
 		htmSpurious:   htm.DefaultSpuriousPct,
@@ -282,7 +277,7 @@ func (rt *Runtime) engineFor(algo Algorithm) core.Engine {
 		if rt.nshards > 0 {
 			se := shard.NewEngine(desc, rt.nshards)
 			if rt.walLogger != nil {
-				se.SetLogger(rt.walLogger, rt.walFacts)
+				se.SetLogger(rt.walLogger)
 			}
 			rt.engines[algo] = se
 		} else {
@@ -296,7 +291,6 @@ func (rt *Runtime) engineFor(algo Algorithm) core.Engine {
 // NewTx. Every field is filled; engines apply the subset they understand.
 func (rt *Runtime) txConfig() core.TxConfig {
 	return core.TxConfig{
-		DedupReads:  rt.dedupReads,
 		NoExtend:    rt.noExtend,
 		HTMCapacity: rt.htmCapacity,
 		HTMRetries:  rt.htmRetries,
@@ -376,13 +370,8 @@ func (rt *Runtime) releaseTx(tx *Tx) {
 }
 
 // Algorithm reports which algorithm the runtime was created with (Adaptive
-// for adaptive runtimes; see CurrentAlgorithm for the live engine).
+// for adaptive runtimes, whatever rung is live).
 func (rt *Runtime) Algorithm() Algorithm { return rt.algo }
-
-// CurrentAlgorithm reports the concrete engine currently executing new
-// attempts: equal to Algorithm() on fixed runtimes, and the engine the
-// adaptive controller most recently switched to on Adaptive runtimes.
-func (rt *Runtime) CurrentAlgorithm() Algorithm { return rt.cur.Load().algo }
 
 // SetYieldEvery makes every transaction yield the processor after each n
 // transactional operations (0 disables). On machines with few cores,
@@ -391,11 +380,6 @@ func (rt *Runtime) CurrentAlgorithm() Algorithm { return rt.cur.Load().algo }
 // simulate concurrent interleaving (see DESIGN.md). It must be set before
 // the runtime is shared between goroutines.
 func (rt *Runtime) SetYieldEvery(n int) { rt.yieldEvery = n }
-
-// SetReadDedup enables read-after-read de-duplication in the NOrec family —
-// the trade-off Section 4.1 of the paper discusses (the scan cost versus
-// redundant read-set entries). Off by default, matching the paper.
-func (rt *Runtime) SetReadDedup(on bool) { rt.dedupReads = on }
 
 // SetNoExtend disables S-TL2's phase-1 snapshot extension (an ablation of
 // the optimization of Algorithm 7 lines 19-25). Off by default.
@@ -482,32 +466,6 @@ func (rt *Runtime) ShardStats() []ShardStats {
 		}
 	}
 	return out
-}
-
-// ShardTicket returns the cross-shard commit ticket, summed over every
-// sharded engine instance — zero exactly when no cross-shard commit has run.
-func (rt *Runtime) ShardTicket() uint64 {
-	var t uint64
-	rt.engMu.Lock()
-	defer rt.engMu.Unlock()
-	for _, eng := range rt.engines {
-		if se, ok := eng.(*shard.Engine); ok {
-			t += se.Ticket()
-		}
-	}
-	return t
-}
-
-// ShardClock probes shard s's commit metadata (TL2 version clock or NOrec
-// sequence lock) on the engine currently executing new attempts. The second
-// result is false on classic runtimes, out-of-range shards, and engines
-// without a clock probe. Routing tests use it to assert that single-shard
-// traffic never moves another shard's clock.
-func (rt *Runtime) ShardClock(s int) (uint64, bool) {
-	if se, ok := rt.cur.Load().eng.(*shard.Engine); ok {
-		return se.ClockValue(s)
-	}
-	return 0, false
 }
 
 // Atomically executes fn as one transaction, retrying on conflict until it
