@@ -34,7 +34,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "wire-protocol listen address")
 		metrics  = flag.String("metrics", "127.0.0.1:7071", "metrics listen address (\"\" disables)")
-		algoName = flag.String("algo", "S-NOrec", "engine family: NOrec, S-NOrec, TL2, S-TL2, SGL, Adaptive")
+		algoName = flag.String("algo", "S-NOrec", "engine family: NOrec, S-NOrec, TL2, S-TL2, SGL")
 		shards   = flag.Int("shards", 8, "runtime shard count")
 		nobatch  = flag.Bool("nobatch", false, "disable the per-shard coalescing batcher")
 		maxBatch = flag.Int("maxbatch", 64, "max requests per batch window")
@@ -65,8 +65,10 @@ func main() {
 		MaxBatch:   *maxBatch,
 	})
 	if err != nil {
+		// Open fails only on what the flags asked for: an engine that
+		// cannot be sharded, a bad fsync policy, an unusable log directory.
 		fmt.Fprintf(os.Stderr, "semstm-serve: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	srv, err := server.Serve(store, *addr, *metrics)
 	if err != nil {

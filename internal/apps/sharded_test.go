@@ -8,9 +8,9 @@ import (
 )
 
 // shardableAlgos are the engines a sharded runtime accepts (the two-phase
-// families plus the degenerate serializing rung and the composite).
+// families plus the degenerate serializing SGL).
 var shardableAlgos = []stm.Algorithm{
-	stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.SGL, stm.Adaptive,
+	stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.SGL,
 }
 
 func eachSharded(t *testing.T, nshards int, f func(t *testing.T, rt *stm.Runtime)) {

@@ -13,9 +13,7 @@ import (
 // manifest records no engine, so the numbering may change between releases.
 type EngineID int
 
-// The registered engine identifiers. EngineAdaptive is the composite policy
-// engine that switches between concrete engines online; the IDs index the
-// runtime's fixed-size [NumEngines] engine array.
+// The registered engine identifiers.
 const (
 	EngineNOrec EngineID = iota
 	EngineSNOrec
@@ -24,7 +22,6 @@ const (
 	EngineSGL
 	EngineHTM
 	EngineSHTM
-	EngineAdaptive
 	// EngineHyTM is the progressive hybrid engine (DESIGN.md §13): an
 	// uninstrumented hardware fast path, an instrumented hardware middle
 	// path, and a software slow path, with typed-abort-driven demotion.
@@ -65,9 +62,8 @@ type TxConfig struct {
 
 // Engine is one instantiated STM engine: the algorithm's shared global
 // metadata (sequence lock, version clock, orec table) behind a uniform
-// constructor-and-health interface. A Runtime owns one Engine per concrete
-// algorithm it runs; independent Engine instances do not synchronize with
-// each other.
+// constructor-and-health interface. A Runtime owns exactly one Engine;
+// independent Engine instances do not synchronize with each other.
 type Engine interface {
 	// NewTx returns a fresh transaction descriptor bound to this engine
 	// instance, configured from cfg.
@@ -100,27 +96,13 @@ type EngineDesc struct {
 	// Irrevocable reports whether the engine serializes transactions so a
 	// running transaction can never abort (SGL-style).
 	Irrevocable bool
-	// HTMBacked reports whether the engine runs on the simulated best-effort
-	// hardware path.
-	HTMBacked bool
-	// ProgressiveHTM reports whether the engine implements the three-path
-	// progressive HyTM structure (uninstrumented fast path, instrumented
-	// middle path, software slow path) with typed-abort demotion — the
-	// capability the adaptive policy's capacity-escalation rule and the
-	// hybrid benchmark grid key on.
-	ProgressiveHTM bool
 	// TwoPhase reports whether the engine's descriptors implement the
 	// core.TwoPhase decomposed commit, the capability a sharded runtime
 	// needs to commit transactions that span engine instances. Engines
 	// without it can still be sharded when they are Irrevocable (a single
 	// serializing instance backs every shard).
 	TwoPhase bool
-	// Composite marks a policy engine that runs by delegating to other
-	// registered engines (Adaptive). Composite descriptors have no
-	// constructor of their own: New is nil and the facade provides the
-	// composition.
-	Composite bool
-	// New constructs a fresh engine instance (nil iff Composite).
+	// New constructs a fresh engine instance.
 	New func() Engine
 }
 
@@ -134,10 +116,9 @@ var engineRegistry struct {
 }
 
 // RegisterEngine adds an engine descriptor to the registry. It panics on an
-// out-of-range ID, a duplicate ID or name, or a descriptor whose constructor
-// disagrees with its Composite flag — registration bugs are programmer
-// errors that must fail loudly at init time, not surface as missing table
-// rows later.
+// out-of-range ID, a duplicate ID or name, or a descriptor without a
+// constructor — registration bugs are programmer errors that must fail loudly
+// at init time, not surface as missing table rows later.
 func RegisterEngine(d EngineDesc) {
 	if d.ID < 0 || d.ID >= NumEngines {
 		panic(fmt.Sprintf("core: engine id %d out of range", int(d.ID)))
@@ -145,8 +126,8 @@ func RegisterEngine(d EngineDesc) {
 	if d.Name == "" {
 		panic(fmt.Sprintf("core: engine %d registered without a name", int(d.ID)))
 	}
-	if d.Composite != (d.New == nil) {
-		panic(fmt.Sprintf("core: engine %q: exactly the composite engines have no constructor", d.Name))
+	if d.New == nil {
+		panic(fmt.Sprintf("core: engine %q registered without a constructor", d.Name))
 	}
 	engineRegistry.mu.Lock()
 	defer engineRegistry.mu.Unlock()
@@ -195,7 +176,7 @@ func (id EngineID) String() string {
 }
 
 // Semantic reports whether the engine executes the semantic primitives
-// natively (composite engines report true when their candidate set does).
+// natively.
 func (id EngineID) Semantic() bool {
 	d, ok := EngineFor(id)
 	return ok && d.Semantic

@@ -89,7 +89,6 @@ const (
 	cHWMiddleCommits
 	cStickyStarts
 	cEscalations
-	cEngineSwitches
 	cReasonBase
 	numCounters = cReasonBase + int(NumReasons)
 )
@@ -182,13 +181,6 @@ func (sh *StatsShard) CountEscalation() {
 	sh.c[cEscalations].n.Add(1)
 }
 
-// CountEngineSwitch records one online engine switch of an adaptive runtime.
-// Switches are rare (a quiescent drain apiece), so they fold into shard 0
-// rather than carrying a descriptor shard through the switch path.
-func (s *Stats) CountEngineSwitch() {
-	s.shards[0].c[cEngineSwitches].n.Add(1)
-}
-
 // numShards bounds the shard pool of one Stats. Registrations beyond the
 // bound wrap around and share (still correct, still mostly uncontended up to
 // numShards concurrent workers); the bound keeps the zero-value Stats a
@@ -237,9 +229,6 @@ type Snapshot struct {
 	// Escalations counts transactions that, after repeated aborts, completed
 	// in the irrevocable serializing mode (the starvation escape hatch).
 	Escalations uint64
-	// EngineSwitches counts online engine switches performed by an adaptive
-	// runtime (always zero on fixed-engine runtimes).
-	EngineSwitches uint64
 	// AbortReasons breaks Aborts down by Reason (index with a core Reason
 	// value; Reason.String names the buckets).
 	AbortReasons [NumReasons]uint64
@@ -290,7 +279,6 @@ func (s *Stats) Snapshot() Snapshot {
 		HWMiddleCommits: t[cHWMiddleCommits],
 		StickyStarts:    t[cStickyStarts],
 		Escalations:     t[cEscalations],
-		EngineSwitches:  t[cEngineSwitches],
 	}
 	copy(sn.AbortReasons[:], t[cReasonBase:])
 	return sn
@@ -329,7 +317,6 @@ func (sn Snapshot) Sub(old Snapshot) Snapshot {
 		HWMiddleCommits: sn.HWMiddleCommits - old.HWMiddleCommits,
 		StickyStarts:    sn.StickyStarts - old.StickyStarts,
 		Escalations:     sn.Escalations - old.Escalations,
-		EngineSwitches:  sn.EngineSwitches - old.EngineSwitches,
 	}
 	for i := range d.AbortReasons {
 		d.AbortReasons[i] = sn.AbortReasons[i] - old.AbortReasons[i]

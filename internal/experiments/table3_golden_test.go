@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"semstm/internal/apps"
-	"semstm/internal/core"
 	"semstm/internal/harness"
 	"semstm/internal/htm"
 	"semstm/internal/stamp"
@@ -105,9 +104,6 @@ func TestTable3Golden(t *testing.T) {
 	}
 	cells := 0
 	for _, algo := range stm.Algorithms() {
-		if d, _ := core.EngineFor(algo); d.Composite {
-			continue
-		}
 		for _, wl := range workloads {
 			key := algo.String() + "/" + wl.name
 			rt := stm.New(algo)

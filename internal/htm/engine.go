@@ -75,7 +75,6 @@ func init() {
 		ID:           core.EngineHTM,
 		Name:         "HTM",
 		DisplayOrder: 7,
-		HTMBacked:    true,
 		New:          newEngine,
 	})
 	core.RegisterEngine(core.EngineDesc{
@@ -84,29 +83,24 @@ func init() {
 		DisplayOrder:  8,
 		Semantic:      true,
 		ComposedFacts: true,
-		HTMBacked:     true,
 		New:           newEngine,
 	})
 	core.RegisterEngine(core.EngineDesc{
-		ID:             core.EngineHyTM,
-		Name:           "HyTM",
-		DisplayOrder:   9,
-		Semantic:       true,
-		ComposedFacts:  true,
-		HTMBacked:      true,
-		ProgressiveHTM: true,
-		TwoPhase:       true,
-		New:            func() core.Engine { return hyEngine{g: NewGlobal()} },
+		ID:            core.EngineHyTM,
+		Name:          "HyTM",
+		DisplayOrder:  9,
+		Semantic:      true,
+		ComposedFacts: true,
+		TwoPhase:      true,
+		New:           func() core.Engine { return hyEngine{g: NewGlobal()} },
 	})
 	core.RegisterEngine(core.EngineDesc{
-		ID:             core.EngineHyTMMid,
-		Name:           "HyTM-mid",
-		DisplayOrder:   10,
-		Semantic:       true,
-		ComposedFacts:  true,
-		HTMBacked:      true,
-		ProgressiveHTM: true,
-		TwoPhase:       true,
-		New:            func() core.Engine { return hyEngine{g: NewGlobal(), noFast: true} },
+		ID:            core.EngineHyTMMid,
+		Name:          "HyTM-mid",
+		DisplayOrder:  10,
+		Semantic:      true,
+		ComposedFacts: true,
+		TwoPhase:      true,
+		New:           func() core.Engine { return hyEngine{g: NewGlobal(), noFast: true} },
 	})
 }

@@ -60,6 +60,23 @@ func readKey(t *testing.T, s *Store, key uint64) int64 {
 	return res.Reads[0]
 }
 
+// TestOpenRejectsUnshardableEngine: a store always shards its runtime, so an
+// engine with neither a two-phase commit nor irrevocability (classic HTM) is
+// refused with an error on both the volatile and the durable path rather
+// than a panic.
+func TestOpenRejectsUnshardableEngine(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(Config{Algo: stm.HTM, Shards: 2, DurableDir: dir})
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open(HTM, dir=%q) succeeded, want an error", dir)
+		}
+		if !strings.Contains(err.Error(), "cannot be sharded") {
+			t.Errorf("Open(HTM, dir=%q): error %q does not say why", dir, err)
+		}
+	}
+}
+
 // TestSubmitBasics exercises the four op kinds and guard semantics through
 // the public Submit path on batched and unbatched stores.
 func TestSubmitBasics(t *testing.T) {

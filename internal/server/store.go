@@ -25,6 +25,7 @@ import (
 	"hash/fnv"
 	"sync"
 
+	"semstm/internal/core"
 	"semstm/stm"
 )
 
@@ -202,6 +203,11 @@ func Open(cfg Config) (*Store, error) {
 		s.dur = d
 		s.rt = d.Runtime()
 	} else {
+		// NewShardedRuntime panics on an engine it cannot shard; report it
+		// the way OpenDurable does for the durable path.
+		if d, ok := core.EngineFor(cfg.Algo); !ok || !d.TwoPhase && !d.Irrevocable {
+			return nil, fmt.Errorf("server: engine %v cannot be sharded (no two-phase commit)", cfg.Algo)
+		}
 		s.rt = stm.NewShardedRuntime(cfg.Algo, cfg.Shards)
 	}
 	s.batchers = make([]*shardBatcher, cfg.Shards)

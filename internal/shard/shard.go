@@ -36,8 +36,7 @@
 // Irrevocable engines (SGL) cannot run the two-phase protocol — they take
 // their lock at Start and have no rollback — so a sharded irrevocable engine
 // degenerates to one serializing instance backing every shard. That keeps
-// the Adaptive ladder's last rung (and the starvation escalation path) valid
-// under sharding.
+// SGL (and the starvation escalation path) valid under sharding.
 package shard
 
 import (
@@ -129,15 +128,11 @@ func (e *Engine) SetLogger(l Logger) { e.logger = l }
 func (e *Engine) WALFailed() bool { return e.walFailed.Load() }
 
 // NewEngine partitions desc into nshards independent instances. It panics on
-// a composite descriptor (composition happens above sharding, in the facade),
-// on a shard count below 1, and on an engine that is neither two-phase nor
+// a shard count below 1 and on an engine that is neither two-phase nor
 // irrevocable — such an engine has no sound cross-shard commit.
 func NewEngine(desc core.EngineDesc, nshards int) *Engine {
 	if nshards < 1 {
 		panic(fmt.Sprintf("shard: invalid shard count %d", nshards))
-	}
-	if desc.Composite {
-		panic(fmt.Sprintf("shard: cannot shard composite engine %q", desc.Name))
 	}
 	eff := nshards
 	if desc.Irrevocable {

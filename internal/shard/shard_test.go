@@ -34,13 +34,10 @@ func mustPanic(t *testing.T, name string, f func()) {
 }
 
 // TestNewEngineRejectsUnshardable pins the constructor contract: shard counts
-// below 1, composite descriptors, and engines with neither a two-phase commit
-// nor irrevocability have no sound sharded composition.
+// below 1 and engines with neither a two-phase commit nor irrevocability have
+// no sound sharded composition.
 func TestNewEngineRejectsUnshardable(t *testing.T) {
 	mustPanic(t, "NewEngine(NOrec, 0)", func() { NewEngine(desc(t, core.EngineNOrec), 0) })
-	mustPanic(t, "NewEngine(composite, 2)", func() {
-		NewEngine(core.EngineDesc{Name: "Adaptive", Composite: true}, 2)
-	})
 	// Classic HTM is revocable but has no TwoPhase decomposition — no way to
 	// hold phase-1 locks across instances, so it cannot be sharded.
 	mustPanic(t, "NewEngine(HTM, 2)", func() { NewEngine(desc(t, core.EngineHTM), 2) })

@@ -4,9 +4,9 @@
 # robustness suites (-short unless CHECK_LONG=1: minutes, not seconds), the
 # 0-allocs/op barrier gate, 10 s of fuzzing each for the wire codec's two
 # differential targets, vet + tests of the bench/ instrument, the quick
-# crash-recovery matrix, and the six acceptance gates of
-# internal/experiments/gates.go — `go run ./cmd/semstm-bench -list` prints
-# the bar each one defends.
+# crash-recovery matrix, and every acceptance gate of
+# internal/experiments/gates.go — the ones `go run ./cmd/semstm-bench -list`
+# prints under "Acceptance gates", with the bar each one defends.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -70,7 +70,14 @@ go test -C bench ./...
 echo "== crash-recovery matrix, quick subset (scripts/crash_matrix.sh for the sweep) =="
 sh scripts/crash_matrix.sh quick
 
-for GATE in shardgate durgate hybridgate privgate reclaimgate servegate; do
+# The gate list comes from the registry itself, so adding, renaming or
+# deleting a gate needs no edit here.
+GATES="$(go run ./cmd/semstm-bench -list | awk '/^Acceptance gates/ { on = 1; next } on && /^  [a-z]/ { print $1 }')"
+if [ -z "$GATES" ]; then
+    echo "semstm-bench -list printed no acceptance gates" >&2
+    exit 1
+fi
+for GATE in $GATES; do
     echo "== $GATE =="
     go run ./cmd/semstm-bench -gate "$GATE"
 done

@@ -48,7 +48,7 @@ func checkDelegated(t *testing.T, name string, d Snapshot, c *Var) {
 func TestBaselineDelegation(t *testing.T) {
 	for _, algo := range Algorithms() {
 		desc, _ := core.EngineFor(algo)
-		if desc.Semantic || desc.Composite {
+		if desc.Semantic {
 			continue
 		}
 		rt := New(algo)
@@ -64,29 +64,6 @@ func TestBaselineDelegation(t *testing.T) {
 			continue
 		}
 		checkDelegated(t, desc.Name, d, c)
-	}
-}
-
-// TestAdaptiveRebindDelegates switches an Adaptive runtime onto a baseline
-// rung and back: the delegation follows the bound engine.
-func TestAdaptiveRebindDelegates(t *testing.T) {
-	rt := New(Adaptive)
-	rt.SetAdaptiveConfig(AdaptiveConfig{Epoch: -1})
-	if err := rt.SwitchEngine(NOrec); err != nil {
-		t.Fatal(err)
-	}
-	a, b, c := NewVar(5), NewVar(7), NewVar(9)
-	before := rt.Stats()
-	rt.Atomically(delegationBody(a, b, c))
-	checkDelegated(t, "Adaptive on NOrec", rt.Stats().Sub(before), c)
-
-	if err := rt.SwitchEngine(SNOrec); err != nil {
-		t.Fatal(err)
-	}
-	before = rt.Stats()
-	rt.Atomically(delegationBody(a, b, c))
-	if d := rt.Stats().Sub(before); d.Compares != 5 || d.Incs != 2 {
-		t.Fatalf("Adaptive on S-NOrec: compares=%d incs=%d, want native 5/2", d.Compares, d.Incs)
 	}
 }
 

@@ -79,18 +79,11 @@ func WithCrashPlan(p *FaultPlan) DurableOption {
 // verifies each shard's hash chain, truncates torn tails, discards
 // incomplete cross-shard commits, and replays the surviving prefix;
 // Durable.Var then resolves each durable key against the replayed state.
-// The algorithm must be shardable (the TL2/NOrec families, SGL, Adaptive);
-// nshards must match the directory's manifest on reopen.
+// The algorithm must be shardable (the TL2/NOrec families, SGL); nshards
+// must match the directory's manifest on reopen.
 func OpenDurable(dir string, algo Algorithm, nshards int, opts ...DurableOption) (*Durable, error) {
-	if nshards < 1 {
-		return nil, fmt.Errorf("stm: invalid shard count %d", nshards)
-	}
-	desc, ok := core.EngineFor(algo)
-	if !ok {
-		return nil, fmt.Errorf("stm: unknown algorithm %d", int(algo))
-	}
-	if !desc.Composite && !desc.TwoPhase && !desc.Irrevocable {
-		return nil, fmt.Errorf("stm: engine %q cannot run durably (no two-phase commit)", desc.Name)
+	if err := checkShardable(algo, nshards); err != nil {
+		return nil, err
 	}
 	cfg := durableCfg{policy: "always"}
 	for _, opt := range opts {
@@ -166,16 +159,7 @@ func (d *Durable) WALStats() WALStats {
 
 // WALFailed reports whether a log-write failure has latched the runtime
 // into volatile degraded mode (see AbortLogFail).
-func (d *Durable) WALFailed() bool {
-	d.rt.engMu.Lock()
-	defer d.rt.engMu.Unlock()
-	for _, eng := range d.rt.engines {
-		if se, ok := eng.(*shard.Engine); ok && se.WALFailed() {
-			return true
-		}
-	}
-	return false
-}
+func (d *Durable) WALFailed() bool { return d.rt.eng.(*shard.Engine).WALFailed() }
 
 // Close seals every shard's log. The runtime must be quiescent.
 func (d *Durable) Close() error { return d.set.Close() }

@@ -4,18 +4,13 @@ import "semstm/internal/shard"
 
 // Test-only introspection, compiled into this package's tests alone.
 
-// CurrentAlgorithm reports the concrete engine currently executing new
-// attempts: equal to Algorithm() on fixed runtimes, and the engine the
-// adaptive controller most recently switched to on Adaptive runtimes.
-func (rt *Runtime) CurrentAlgorithm() Algorithm { return rt.cur.Load().algo }
-
 // ShardClock probes shard s's commit metadata (TL2 version clock or NOrec
-// sequence lock) on the engine currently executing new attempts. The second
+// sequence lock) of the runtime's engine. The second
 // result is false on classic runtimes, out-of-range shards, and engines
 // without a clock probe. Routing tests use it to assert that single-shard
 // traffic never moves another shard's clock.
 func (rt *Runtime) ShardClock(s int) (uint64, bool) {
-	if se, ok := rt.cur.Load().eng.(*shard.Engine); ok {
+	if se, ok := rt.eng.(*shard.Engine); ok {
 		return se.ClockValue(s)
 	}
 	return 0, false

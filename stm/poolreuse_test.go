@@ -4,11 +4,10 @@ package stm_test
 // built descriptors through a sync.Pool, so the isolation between two
 // logically distinct transactions now depends on Reset discipline instead of
 // fresh memory. This test hammers that discipline under -race (the package is
-// in check.sh's RACE_PKGS): concurrent workers mix all three entry points,
-// force explicit aborts, cancel contexts, and run under fault injection and a
-// low escalation threshold, while a chaos goroutine switches the Adaptive
-// runtime between concrete engines — every switch rebinding live pooled
-// descriptors.
+// in check.sh's RACE_PKGS): on every registered engine, one runtime each,
+// concurrent workers mix all three entry points, force explicit aborts,
+// cancel contexts, and run under fault injection and a low escalation
+// threshold.
 //
 // What would leak if Reset discipline broke, and what catches it:
 //
@@ -17,9 +16,6 @@ package stm_test
 //   - a stale abort-reason log (or the release-time poison sentinel, which
 //     stringifies as "invalid") surfaces in a later call's AbortError →
 //     the reason-validity assertion fails;
-//   - a descriptor released with its adaptive active flag still raised
-//     panics in releaseTx, and one leaked raised flag deadlocks the next
-//     engine switch's drain → the test hangs instead of passing;
 //   - engine metadata left locked by a recycled descriptor → CheckQuiescent
 //     fails after the run.
 
@@ -38,6 +34,7 @@ import (
 var validReasons = map[string]bool{
 	"unknown": true, "validation": true, "cmp-flip": true, "orec-locked": true,
 	"capacity": true, "spurious": true, "explicit": true,
+	"hw-conflict": true, "hw-capacity": true,
 }
 
 func assertReasonsValid(t *testing.T, err error) {
@@ -54,33 +51,17 @@ func assertReasonsValid(t *testing.T, err error) {
 }
 
 func TestPoolReusePoisoningFuzz(t *testing.T) {
+	forEachAlgo(t, func(t *testing.T, rt *stm.Runtime) {
+		poolReuseFuzz(t, rt)
+	})
+}
+
+func poolReuseFuzz(t *testing.T, rt *stm.Runtime) {
 	workers, per := chaosScale(t)
-	rt := stm.New(stm.Adaptive)
 	rt.SetFaultPlan(chaosPlan(0x9015011))
 	rt.SetEscalateAfter(48) // low: drive pooled descriptors through escalation
 	const accounts, initial = 16, 1000
 	accts := stm.NewVars(accounts, initial)
-
-	var wg sync.WaitGroup
-	stopSwitch := make(chan struct{})
-	// Chaos switcher: cycle the runtime across concrete engines so pooled
-	// descriptors are continually rebound mid-lifecycle.
-	ladder := []stm.Algorithm{stm.NOrec, stm.TL2, stm.SGL, stm.HTM, stm.SNOrec}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stopSwitch:
-				return
-			default:
-			}
-			if err := rt.SwitchEngine(ladder[i%len(ladder)]); err != nil {
-				t.Errorf("SwitchEngine: %v", err)
-				return
-			}
-		}
-	}()
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel() // pre-cancelled: exercises the immediate-return path
@@ -137,8 +118,6 @@ func TestPoolReusePoisoningFuzz(t *testing.T) {
 		}(int64(w)*0x9E3779B9 + 1)
 	}
 	workerWG.Wait()
-	close(stopSwitch)
-	wg.Wait()
 
 	var sum int64
 	rt.Atomically(func(tx *stm.Tx) {

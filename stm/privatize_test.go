@@ -184,9 +184,10 @@ func chaosPrivatize(t *testing.T, rt *stm.Runtime, sharded bool) {
 
 // TestChaosPrivatizeClassic covers the single-instance engines whose commit
 // fences differ most: NOrec's seqlock drain, TL2's orec-version fence, and
-// plain value/version baselines.
+// plain value/version baselines. The HTM pair privatizes through the seqlock
+// kernel it runs on, spurious hardware failures and lock fallback included.
 func TestChaosPrivatizeClassic(t *testing.T) {
-	for _, a := range []stm.Algorithm{stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.SGL} {
+	for _, a := range []stm.Algorithm{stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2, stm.SGL, stm.HTM, stm.SHTM} {
 		t.Run(a.String(), func(t *testing.T) {
 			chaosPrivatize(t, stm.New(a), false)
 		})

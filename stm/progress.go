@@ -236,7 +236,6 @@ func (rt *Runtime) run(fn func(tx *Tx), cfg runCfg) error {
 		tx.epoch.NewEpoch()
 	}
 	bounded := cfg.maxAttempts > 0 || cfg.done != nil
-	adaptive := rt.adapt != nil
 	escAfter := rt.escalateAfter
 	reasons := tx.reasonBuf[:0]
 	escalated := false
@@ -260,7 +259,6 @@ func (rt *Runtime) run(fn func(tx *Tx), cfg runCfg) error {
 				return runErr(attempt, reasons, escalated, cfg)
 			}
 		}
-		entered := false
 		if !escalated {
 			// A log-write failure escalates immediately: the WAL is latched
 			// failed, so the retry would succeed anyway, but the irrevocable
@@ -270,34 +268,14 @@ func (rt *Runtime) run(fn func(tx *Tx), cfg runCfg) error {
 			if logFailed || (escAfter > 0 && attempt >= escAfter) {
 				escalated = true
 				rt.esc.acquire()
-				if adaptive {
-					// An engine switch may have completed while this attempt
-					// queued for the escalator mutex; holding the mutex now
-					// blocks further switches, so a rebind here is final.
-					// Rebind before disarming: rebind re-arms the fault plan.
-					if slot := rt.cur.Load(); tx.slot != slot {
-						tx.rebind(slot)
-					}
-				}
 				tx.impl.SetFaultPlan(nil) // irrevocable mode must not abort
 				tx.shard.CountEscalation()
-			} else if adaptive {
-				// Adaptive runtimes run the full switch protocol: bind, raise
-				// the active flag, re-check the gate and the binding.
-				if !rt.enterAttempt(tx, cfg.done) {
-					return runErr(attempt, reasons, escalated, cfg)
-				}
-				entered = true
 			} else if rt.esc.gate.Load() != 0 && !rt.esc.wait(cfg.done) {
 				// Cancelled while parked behind an active escalation.
 				return runErr(attempt, reasons, escalated, cfg)
 			}
 		}
 		committed, _ := rt.tryOnce(tx, fn, cfg)
-		if entered {
-			tx.active.Store(0)
-			rt.noteAttempt(tx)
-		}
 		if committed {
 			return nil
 		}
@@ -394,19 +372,7 @@ func (rt *Runtime) SetEscalateAfter(n int) { rt.escalateAfter = n }
 // locked, and the SGL mutex is unlocked. The chaos and panic-rollback tests
 // call it after every run; production code can use it as a health probe at
 // quiescent points.
-func (rt *Runtime) CheckQuiescent() error {
-	rt.engMu.Lock()
-	defer rt.engMu.Unlock()
-	for _, eng := range rt.engines {
-		if eng == nil {
-			continue
-		}
-		if err := eng.Quiescent(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (rt *Runtime) CheckQuiescent() error { return rt.eng.Quiescent() }
 
 // txSeedCtr decorrelates descriptor RNG seeds allocated in the same
 // nanosecond (time.Now().UnixNano alone produced shared backoff and

@@ -228,56 +228,6 @@ func TestShardRoutingIsolation(t *testing.T) {
 	})
 }
 
-// TestShardRoutingIsolationAdaptive repeats the routing property while an
-// Adaptive runtime is forced through its engine ladder mid-run: switching
-// engines must not leak traffic onto untouched shards either (per-shard
-// counters accumulate across every engine instance the runtime built).
-func TestShardRoutingIsolationAdaptive(t *testing.T) {
-	const nshards = 4
-	rt := stm.NewShardedRuntime(stm.Adaptive, nshards)
-	home := stm.NewVarsOn(0, 16, 1000)
-	for s := 1; s < nshards; s++ {
-		stm.NewVarsOn(s, 16, 1000)
-	}
-	ladder := []stm.Algorithm{stm.SNOrec, stm.STL2, stm.SGL}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := rt.SwitchEngine(ladder[i%len(ladder)]); err != nil {
-				t.Errorf("SwitchEngine: %v", err)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	hammerShard(rt, home, 4, 300)
-	close(stop)
-	wg.Wait()
-	stats := rt.ShardStats()
-	if stats[0].SingleCommits == 0 {
-		t.Fatal("shard 0 recorded no single-shard commits under adaptive switching")
-	}
-	for s := 1; s < nshards; s++ {
-		if stats[s].SingleCommits != 0 || stats[s].CrossCommits != 0 {
-			t.Errorf("shard %d saw traffic (%+v) during adaptive switching of shard-0-only load", s, stats[s])
-		}
-	}
-	if stats[0].CrossCommits != 0 {
-		t.Errorf("%d cross-shard commits with no cross-shard transaction", stats[0].CrossCommits)
-	}
-	if err := rt.CheckQuiescent(); err != nil {
-		t.Fatalf("not quiescent after adaptive switching: %v", err)
-	}
-}
-
 // TestShardedCrossSemantics pins the intra-transaction semantics of the
 // cross-shard path: read-your-writes and increment visibility across shard
 // boundaries, and the documented degradation of the composed primitives

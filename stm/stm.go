@@ -12,13 +12,13 @@
 //
 // Engines are registered, not hard-wired: every STM algorithm lives in the
 // core engine registry with a capability descriptor (semantic facts,
-// composed expressions, irrevocability, HTM backing), and a Runtime is bound
-// to one registered engine — NOrec and TL2 (the classical baselines, which
-// transparently delegate semantic calls to classical barriers), their
-// semantic extensions S-NOrec and S-TL2 (Algorithms 6 and 7 of the paper),
-// a simulated best-effort HTM pair, a single-global-lock sanity baseline —
-// or to Adaptive, which starts on one engine and switches engines online
-// from abort telemetry through a quiescent transition (see adaptive.go).
+// composed expressions, irrevocability, two-phase commit), and a Runtime is
+// bound to exactly one registered engine — NOrec and TL2 (the classical
+// baselines, which transparently delegate semantic calls to classical
+// barriers), their semantic extensions S-NOrec and S-TL2 (Algorithms 6 and 7
+// of the paper), a simulated best-effort HTM pair, the progressive hybrid
+// engine HyTM with its fast-path-off ablation HyTM-mid, or a
+// single-global-lock sanity baseline.
 //
 // Basic use:
 //
@@ -36,7 +36,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"semstm/internal/core"
@@ -120,11 +119,6 @@ const (
 	// (the paper's stated future work): facts and deferred increments
 	// shrink the tracked set, saving capacity aborts as well as conflicts.
 	SHTM = core.EngineSHTM
-	// Adaptive is the composite policy engine: the runtime starts on the
-	// first engine of its AdaptiveConfig ladder and switches engines online
-	// when the per-epoch abort-reason mix says a different concurrency
-	// control would win (see adaptive.go and DESIGN.md §9).
-	Adaptive = core.EngineAdaptive
 	// HyTM is the progressive hybrid engine (DESIGN.md §13): an
 	// uninstrumented hardware fast path (no read-set, no facts — one
 	// conflict-detection-epoch load per barrier), an instrumented hardware
@@ -136,8 +130,6 @@ const (
 	// starts on the instrumented middle path. It is the instrumentation-cost
 	// ablation cell the EXPERIMENTS.md hybrid table compares HyTM against.
 	HyTMMid = core.EngineHyTMMid
-
-	numAlgorithms = core.NumEngines
 )
 
 // Algorithms lists every selectable algorithm in display order, straight
@@ -151,51 +143,22 @@ func Algorithms() []Algorithm {
 	return out
 }
 
-// engineSlot pairs a concrete engine instance with its algorithm. The
-// runtime publishes the current slot through one atomic pointer, so a
-// descriptor can detect a superseded binding by pointer identity alone.
-type engineSlot struct {
-	algo Algorithm
-	eng  core.Engine
-}
-
-// Runtime is an STM instance: one engine (or, for Adaptive, a set of engines
-// behind one current slot), the engine's global metadata, and aggregate
-// statistics. Independent Runtimes do not synchronize with each other, so a
-// Var must only ever be accessed through a single Runtime at a time.
+// Runtime is an STM instance: one engine, the engine's global metadata, and
+// aggregate statistics. Independent Runtimes do not synchronize with each
+// other, so a Var must only ever be accessed through a single Runtime at a
+// time.
 type Runtime struct {
 	algo  Algorithm
+	eng   core.Engine
 	stats core.Stats
 	// nshards is 0 on classic runtimes (New) and the shard count on sharded
-	// runtimes (NewShardedRuntime) — where every engine instance is wrapped
-	// in a shard.Engine partition.
+	// runtimes (NewShardedRuntime) — where the engine is a shard.Engine
+	// partition.
 	nshards int
-
-	// cur is the engine executing new attempts. Fixed runtimes store it once
-	// at construction; Adaptive runtimes replace it inside the quiescent
-	// switch protocol (adaptive.go).
-	cur atomic.Pointer[engineSlot]
-	// engines holds the lazily created engine instances, indexed by
-	// algorithm; engMu guards the slots (switches, stats probes).
-	engMu   sync.Mutex
-	engines [numAlgorithms]core.Engine
-
-	// descs lists every descriptor ever built for this runtime, so an engine
-	// switch can wait for the in-flight attempts to drain.
-	descMu sync.Mutex
-	descs  []*Tx
-
-	// adapt is the online-switching controller; nil on fixed runtimes, which
-	// is also the fast-path discriminator in the retry loop.
-	adapt *adaptiveState
 
 	txPool     sync.Pool
 	yieldEvery int
-	esc        escalator // quiesce protocol of the irrevocable mode and of engine switches
-
-	// walLogger is the durable redo sink installed on every sharded engine
-	// instance the runtime builds (OpenDurable); nil on volatile runtimes.
-	walLogger shard.Logger
+	esc        escalator // quiesce protocol of the irrevocable mode
 
 	// Ablation and tuning knobs, set before the runtime is shared.
 	noExtend      bool
@@ -217,25 +180,35 @@ func New(algo Algorithm) *Runtime { return newRuntime(algo, 0, nil) }
 // assignment from NewVarOn/NewVarsOn; a transaction that touches one shard
 // runs the engine completely unchanged against that shard's private metadata,
 // and a transaction that spans shards commits through the two-phase
-// cross-shard protocol. The engine must support sharding: every concrete
-// engine of the TL2/NOrec families does (two-phase commit), SGL degenerates
-// to one serializing instance, and Adaptive requires a ladder of shardable
-// engines (the default ladder qualifies); other engines panic here.
+// cross-shard protocol. The engine must support sharding: every engine of
+// the TL2/NOrec families does (two-phase commit) and SGL degenerates to one
+// serializing instance; other engines panic here (checkShardable).
 // NewShardedRuntime(algo, 1) is a valid single-partition runtime — useful as
 // the 1-shard cell of scaling measurements, since it pays the same routing
 // costs as wider partitions.
 func NewShardedRuntime(algo Algorithm, nshards int) *Runtime {
+	if err := checkShardable(algo, nshards); err != nil {
+		panic(err.Error())
+	}
+	return newRuntime(algo, nshards, nil)
+}
+
+// checkShardable reports why algo cannot back a runtime of nshards
+// partitions: a shard count below 1, an unregistered algorithm, or an engine
+// with neither a two-phase commit nor irrevocability (no sound cross-shard
+// commit). NewShardedRuntime panics on the error; OpenDurable returns it.
+func checkShardable(algo Algorithm, nshards int) error {
 	if nshards < 1 {
-		panic(fmt.Sprintf("stm: invalid shard count %d", nshards))
+		return fmt.Errorf("stm: invalid shard count %d", nshards)
 	}
 	desc, ok := core.EngineFor(algo)
 	if !ok {
-		panic(fmt.Sprintf("stm: unknown algorithm %d", int(algo)))
+		return fmt.Errorf("stm: unknown algorithm %d", int(algo))
 	}
-	if !desc.Composite && !desc.TwoPhase && !desc.Irrevocable {
-		panic(fmt.Sprintf("stm: engine %q cannot be sharded (no two-phase commit)", desc.Name))
+	if !desc.TwoPhase && !desc.Irrevocable {
+		return fmt.Errorf("stm: engine %q cannot be sharded (no two-phase commit)", desc.Name)
 	}
-	return newRuntime(algo, nshards, nil)
+	return nil
 }
 
 func newRuntime(algo Algorithm, nshards int, logger shard.Logger) *Runtime {
@@ -246,45 +219,22 @@ func newRuntime(algo Algorithm, nshards int, logger shard.Logger) *Runtime {
 	rt := &Runtime{
 		algo:          algo,
 		nshards:       nshards,
-		walLogger:     logger,
 		htmCapacity:   htm.DefaultCapacity,
 		htmRetries:    htm.DefaultMaxHWRetries,
 		htmSpurious:   htm.DefaultSpuriousPct,
 		escalateAfter: DefaultEscalateAfter,
 	}
-	if desc.Composite {
-		rt.adapt = newAdaptiveState()
-		first := rt.adapt.cfg.Ladder[0]
-		rt.cur.Store(&engineSlot{algo: first, eng: rt.engineFor(first)})
+	if nshards > 0 {
+		se := shard.NewEngine(desc, nshards)
+		if logger != nil {
+			se.SetLogger(logger)
+		}
+		rt.eng = se
 	} else {
-		rt.cur.Store(&engineSlot{algo: algo, eng: rt.engineFor(algo)})
+		rt.eng = desc.New()
 	}
 	rt.txPool.New = func() any { return rt.newTx() }
 	return rt
-}
-
-// engineFor returns this runtime's instance of the algorithm's engine,
-// creating it on first use. Lazy creation matters for Adaptive: engines the
-// policy never switches to (a 4 MiB TL2 orec table, say) are never built.
-func (rt *Runtime) engineFor(algo Algorithm) core.Engine {
-	rt.engMu.Lock()
-	defer rt.engMu.Unlock()
-	if rt.engines[algo] == nil {
-		desc, ok := core.EngineFor(algo)
-		if !ok || desc.Composite {
-			panic(fmt.Sprintf("stm: %v is not a concrete engine", algo))
-		}
-		if rt.nshards > 0 {
-			se := shard.NewEngine(desc, rt.nshards)
-			if rt.walLogger != nil {
-				se.SetLogger(rt.walLogger)
-			}
-			rt.engines[algo] = se
-		} else {
-			rt.engines[algo] = desc.New()
-		}
-	}
-	return rt.engines[algo]
 }
 
 // txConfig snapshots the runtime's descriptor-level knobs for an engine's
@@ -299,7 +249,14 @@ func (rt *Runtime) txConfig() core.TxConfig {
 	}
 }
 
-// newTx builds a fresh transaction descriptor bound to the current engine.
+// epochResetter is the optional TxImpl interface for per-call (as opposed to
+// per-attempt) state resets; the HTM backends use it to reset their
+// hardware-failure budget. The assertion is cached on the descriptor when it
+// is built: asserting on every Atomically call showed up in the escape audit
+// as a per-call dynamic type check on the hot path.
+type epochResetter interface{ NewEpoch() }
+
+// newTx builds a fresh transaction descriptor bound to the runtime's engine.
 // Each descriptor registers its own stats shard: descriptors are owned by
 // one goroutine at a time (sync.Pool), so commit/abort folding stays on
 // thread-private cache lines instead of contending on global counters.
@@ -307,31 +264,8 @@ func (rt *Runtime) txConfig() core.TxConfig {
 // in the same nanosecond must not share backoff or spurious-abort streams.
 // The generator is math/rand/v2 (PCG): the v1 rand.Seed path is deprecated,
 // and the v2 PCG is both cheaper per draw and seedable per descriptor.
-func (rt *Runtime) newTx() *Tx {
-	tx := &Tx{
-		rt:    rt,
-		shard: rt.stats.Register(),
-		rng:   rand.New(rand.NewPCG(uint64(uniqueSeed()), uint64(uniqueSeed()))),
-		pin:   core.RegisterEpochPin(),
-	}
-	tx.rebind(rt.cur.Load())
-	rt.descMu.Lock()
-	rt.descs = append(rt.descs, tx)
-	rt.descMu.Unlock()
-	return tx
-}
-
-// epochResetter is the optional TxImpl interface for per-call (as opposed to
-// per-attempt) state resets; the HTM backends use it to reset their
-// hardware-failure budget. The assertion is cached on the descriptor at
-// rebind time: asserting on every Atomically call showed up in the escape
-// audit as a per-call dynamic type check on the hot path.
-type epochResetter interface{ NewEpoch() }
-
-// rebind points the descriptor at an engine slot, building a fresh
-// engine-level descriptor from it. Called at construction and whenever the
-// retry loop observes that an engine switch superseded the binding. A
-// revocable engine registered without semantic support gets its semantic
+//
+// A revocable engine registered without semantic support gets its semantic
 // calls through core.Baseline — the paper's baseline builds, delegated here
 // once instead of in every engine. An irrevocable engine (SGL) evaluates
 // them in place, where there is nothing to validate and so nothing to
@@ -339,15 +273,22 @@ type epochResetter interface{ NewEpoch() }
 // call costs one dispatch (to the engine's Read or Write), not two; each
 // semantic method tests tx.baseline itself rather than through a shared
 // helper, which would add a call to every operation.
-func (tx *Tx) rebind(slot *engineSlot) {
-	tx.slot = slot
-	tx.impl = slot.eng.NewTx(tx.rt.txConfig())
-	tx.base = core.Baseline{TxImpl: tx.impl}
-	d, _ := core.EngineFor(slot.algo)
-	tx.baseline = !d.Semantic && !d.Irrevocable
-	tx.epoch, _ = tx.impl.(epochResetter)
-	tx.priv, _ = tx.impl.(core.Privatizer)
-	tx.impl.SetFaultPlan(tx.rt.faultPlan)
+func (rt *Runtime) newTx() *Tx {
+	impl := rt.eng.NewTx(rt.txConfig())
+	d, _ := core.EngineFor(rt.algo)
+	tx := &Tx{
+		rt:       rt,
+		impl:     impl,
+		base:     core.Baseline{TxImpl: impl},
+		baseline: !d.Semantic && !d.Irrevocable,
+		shard:    rt.stats.Register(),
+		rng:      rand.New(rand.NewPCG(uint64(uniqueSeed()), uint64(uniqueSeed()))),
+		pin:      core.RegisterEpochPin(),
+	}
+	tx.epoch, _ = impl.(epochResetter)
+	tx.priv, _ = impl.(core.Privatizer)
+	impl.SetFaultPlan(rt.faultPlan)
+	return tx
 }
 
 // poisonedReason is the out-of-range sentinel releaseTx stamps on a
@@ -362,15 +303,11 @@ const poisonedReason = AbortReason(core.NumReasons)
 // leaks between logically distinct transactions are detectable (the
 // descriptor-reuse fuzz test asserts no poison is ever observed).
 func (rt *Runtime) releaseTx(tx *Tx) {
-	if tx.active.Load() != 0 {
-		panic("stm: descriptor released with an attempt still active")
-	}
 	tx.lastReason = poisonedReason
 	rt.txPool.Put(tx)
 }
 
-// Algorithm reports which algorithm the runtime was created with (Adaptive
-// for adaptive runtimes, whatever rung is live).
+// Algorithm reports which algorithm the runtime was created with.
 func (rt *Runtime) Algorithm() Algorithm { return rt.algo }
 
 // SetYieldEvery makes every transaction yield the processor after each n
@@ -407,18 +344,13 @@ type htmReporter interface {
 	HWAborts() uint64
 }
 
-// HTMStats reports (fallbacks, hardwareAborts) summed over the runtime's
-// HTM-backed engines, and zeros for runtimes that never ran one.
+// HTMStats reports the (fallbacks, hardwareAborts) tallies of an HTM-backed
+// engine, and zeros for every other engine.
 func (rt *Runtime) HTMStats() (fallbacks, hwAborts uint64) {
-	rt.engMu.Lock()
-	defer rt.engMu.Unlock()
-	for _, eng := range rt.engines {
-		if r, ok := eng.(htmReporter); ok {
-			fallbacks += r.Fallbacks()
-			hwAborts += r.HWAborts()
-		}
+	if r, ok := rt.eng.(htmReporter); ok {
+		return r.Fallbacks(), r.HWAborts()
 	}
-	return fallbacks, hwAborts
+	return 0, 0
 }
 
 // Stats returns a snapshot of the aggregate counters (commits, aborts, and
@@ -444,26 +376,16 @@ type ShardStats struct {
 	BatchedRequests uint64
 }
 
-// ShardStats returns the per-shard commit counters, summed over every engine
-// instance the runtime has built (an Adaptive runtime accumulates across its
-// ladder rungs). It returns nil on classic runtimes.
+// ShardStats returns the per-shard commit counters. It returns nil on
+// classic runtimes.
 func (rt *Runtime) ShardStats() []ShardStats {
-	if rt.nshards == 0 {
+	se, ok := rt.eng.(*shard.Engine)
+	if !ok {
 		return nil
 	}
 	out := make([]ShardStats, rt.nshards)
-	rt.engMu.Lock()
-	defer rt.engMu.Unlock()
-	for _, eng := range rt.engines {
-		se, ok := eng.(*shard.Engine)
-		if !ok {
-			continue
-		}
-		for i, sn := range se.Snapshots() {
-			out[i].SingleCommits += sn.SingleCommits
-			out[i].CrossCommits += sn.CrossCommits
-			out[i].BatchedRequests += sn.BatchedRequests
-		}
+	for i, sn := range se.Snapshots() {
+		out[i] = ShardStats(sn)
 	}
 	return out
 }
@@ -494,12 +416,6 @@ func (rt *Runtime) tryOnce(tx *Tx, fn func(tx *Tx), cfg runCfg) (committed bool,
 			// re-run and whatever the hooks guard would otherwise leak.
 			tx.runAbortHooks()
 			if !core.IsAbort(r) {
-				// A user panic unwinds straight past the retry loop's normal
-				// active-flag clear; drop the flag here or the descriptor
-				// would re-enter the pool still marked in-flight (which an
-				// adaptive drain would wait on forever, and which releaseTx
-				// now rejects).
-				tx.active.Store(0)
 				panic(r)
 			}
 			reason, _ = core.ReasonOf(r)
@@ -537,10 +453,9 @@ type Tx struct {
 	rt         *Runtime
 	impl       core.TxImpl
 	base       core.Baseline    // impl's non-semantic view, used when baseline is set
-	baseline   bool             // impl's engine delegates its semantic calls (rebind)
+	baseline   bool             // impl's engine delegates its semantic calls (newTx)
 	epoch      epochResetter    // impl's cached NewEpoch assertion; nil if absent
 	priv       core.Privatizer  // impl's cached privatizing-commit assertion
-	slot       *engineSlot      // the engine binding impl was built from
 	pin        *core.EpochPin   // reclamation-epoch pin (held across each run)
 	shard      *core.StatsShard // this descriptor's slice of the runtime counters
 	rng        *rand.Rand
@@ -551,14 +466,6 @@ type Tx struct {
 	// append, so TryAtomically/AtomicallyCtx allocate only when they actually
 	// fail (runErr copies the buffer into the returned AbortError).
 	reasonBuf [abortReasonCap]AbortReason
-
-	// active is 1 while an attempt is executing between the switch-gate
-	// check and its commit/abort; the engine-switch drain waits on it. Only
-	// adaptive runtimes use it (see Runtime.enterAttempt).
-	active atomic.Uint32
-	// sinceAdapt counts attempts since this descriptor last triggered a
-	// policy evaluation.
-	sinceAdapt int
 
 	// abortHooks are per-attempt callbacks registered with OnAbort, run after
 	// an attempt's rollback and discarded on commit. Transaction-aware

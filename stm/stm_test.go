@@ -253,16 +253,15 @@ func TestAlgorithmMetadata(t *testing.T) {
 		name     string
 		semantic bool
 	}{
-		stm.NOrec:    {"NOrec", false},
-		stm.SNOrec:   {"S-NOrec", true},
-		stm.TL2:      {"TL2", false},
-		stm.STL2:     {"S-TL2", true},
-		stm.SGL:      {"SGL", false},
-		stm.HTM:      {"HTM", false},
-		stm.SHTM:     {"S-HTM", true},
-		stm.Adaptive: {"Adaptive", true},
-		stm.HyTM:     {"HyTM", true},
-		stm.HyTMMid:  {"HyTM-mid", true},
+		stm.NOrec:   {"NOrec", false},
+		stm.SNOrec:  {"S-NOrec", true},
+		stm.TL2:     {"TL2", false},
+		stm.STL2:    {"S-TL2", true},
+		stm.SGL:     {"SGL", false},
+		stm.HTM:     {"HTM", false},
+		stm.SHTM:    {"S-HTM", true},
+		stm.HyTM:    {"HyTM", true},
+		stm.HyTMMid: {"HyTM-mid", true},
 	}
 	for a, w := range want {
 		if a.String() != w.name {
@@ -272,7 +271,7 @@ func TestAlgorithmMetadata(t *testing.T) {
 			t.Errorf("%s: Semantic() = %v", a, a.Semantic())
 		}
 	}
-	if len(stm.Algorithms()) != 10 {
+	if len(stm.Algorithms()) != 9 {
 		t.Errorf("Algorithms() lists %d", len(stm.Algorithms()))
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // testOnlyMethods are the introspection hooks export_test.go adds for this
 // package's own tests; they are not part of the surface a consumer sees.
-var testOnlyMethods = []string{"CurrentAlgorithm", "InjectLogFailure", "ShardClock"}
+var testOnlyMethods = []string{"InjectLogFailure", "ShardClock"}
 
 // TestExportedSurface pins the exported method sets of *Runtime and
 // *Durable, so a new knob or probe shows up here as a visible diff.
@@ -20,11 +20,10 @@ func TestExportedSurface(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeFor[*stm.Runtime](), []string{
-			"AdaptiveConfig", "Algorithm", "Atomically", "AtomicallyBatch",
-			"AtomicallyCtx", "AtomicallyPrivatize", "CheckQuiescent",
-			"ConfigureHTM", "HTMStats", "SetAdaptiveConfig", "SetBackoff",
-			"SetEscalateAfter", "SetFaultPlan", "SetNoExtend", "SetYieldEvery",
-			"ShardStats", "Shards", "Stats", "SwitchEngine", "TryAtomically",
+			"Algorithm", "Atomically", "AtomicallyBatch", "AtomicallyCtx",
+			"AtomicallyPrivatize", "CheckQuiescent", "ConfigureHTM", "HTMStats",
+			"SetBackoff", "SetEscalateAfter", "SetFaultPlan", "SetNoExtend",
+			"SetYieldEvery", "ShardStats", "Shards", "Stats", "TryAtomically",
 		}},
 		{reflect.TypeFor[*stm.Durable](), []string{
 			"Close", "Recovery", "Runtime", "Var", "Vars", "WALFailed", "WALStats",

@@ -12,8 +12,7 @@ package stm_test
 // Shapes cover the acceptance matrix of the allocation gate: the read, write,
 // and inc barriers in isolation (8 disjoint variables each) and the commit of
 // a small read-write transaction (2 reads + 2 writes). Engines cover the full
-// registry — including Adaptive, whose epoch gate and stats shards ride the
-// same descriptors — plus an "HTM-fallback" variant configured (capacity 1,
+// registry plus an "HTM-fallback" variant configured (capacity 1,
 // zero retries) so every transaction capacity-aborts the hardware attempt and
 // commits under the irrevocable lock, pinning the abort-unwind and fallback
 // paths to zero allocations as well.

@@ -15,12 +15,12 @@ import (
 	"semstm/stm"
 )
 
-// zeroAllocEngines is the acceptance matrix of ISSUE 5: every fixed engine
-// family plus the adaptive composite must run the transaction lifecycle
-// allocation-free after warm-up.
+// zeroAllocEngines is the acceptance matrix of the allocation contract:
+// every engine family must run the transaction lifecycle allocation-free
+// after warm-up.
 var zeroAllocEngines = []stm.Algorithm{
 	stm.NOrec, stm.SNOrec, stm.TL2, stm.STL2,
-	stm.SGL, stm.HTM, stm.SHTM, stm.Adaptive,
+	stm.SGL, stm.HTM, stm.SHTM,
 	stm.HyTM, stm.HyTMMid,
 }
 
